@@ -419,41 +419,88 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return out
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    """Forward-identical view that never records; backward contributes zero."""
-    return Tensor(x.data)
+NEG_INF = -1e30  # additive mask value; underflows to exact zero after softmax
 
 
-def mha_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                mask: np.ndarray | None):
-    """Shared multi-head attention forward; returns output and attention probs.
+def _padded_rows(lengths: tuple):
+    """Row of each packed row inside the padded (B * Tmax) layout.
 
-    q, k, v: (T, d) after projection; mask: additive (T, T) or None.
-    Returns (out (T, d), w (H, T, T), qh, kh, vh) for reuse in backward.
+    Packed row r of segment b lands at b * Tmax + (r - start of b).  None
+    when every segment has the same length: the padded view is then a plain
+    reshape of the packed rows.
+    """
+    tmax = max(lengths)
+    if min(lengths) == tmax:
+        return None
+    shift = np.arange(len(lengths)) * tmax - np.cumsum((0,) + lengths[:-1])
+    return np.arange(sum(lengths)) + np.repeat(shift, lengths)
+
+
+def _to_heads(x: np.ndarray, shape: tuple, rows) -> np.ndarray:
+    """Packed (sum T, d) rows -> padded heads of shape (B, H, Tmax, dh)."""
+    b, h, tmax, dh = shape
+    if rows is not None:
+        buf = np.zeros((b * tmax, h * dh))
+        buf[rows] = x
+        x = buf
+    return x.reshape(b, tmax, h, dh).transpose(0, 2, 1, 3)
+
+
+def _from_heads(xh: np.ndarray, rows) -> np.ndarray:
+    """Padded (B, H, Tmax, dh) heads -> packed (sum T, d) rows."""
+    b, h, tmax, dh = xh.shape
+    flat = xh.transpose(0, 2, 1, 3).reshape(b * tmax, h * dh)
+    return flat if rows is None else flat[rows]
+
+
+def _attention_mask(lengths: tuple, causal: bool) -> np.ndarray | None:
+    """Additive mask over padded (B, H, Tmax, Tmax) attention scores.
+
+    A query sees the keys of its own segment and, when causal, only those
+    at or before its own position.  None when nothing is blocked.
+    """
+    tmax = max(lengths)
+    if not causal and min(lengths) == tmax:
+        return None
+    col = np.arange(tmax)
+    keep = col < np.asarray(lengths)[:, None, None]    # (B, 1, Tmax)
+    if causal:
+        keep = keep & (col <= col[:, None])             # (B, Tmax, Tmax)
+    return np.where(keep, 0.0, NEG_INF)[:, None]
+
+
+def _mha_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+                 lengths, causal: bool):
+    """Shared multi-head attention forward over packed segments.
+
+    q, k, v: (sum T, d) after projection; lengths None means one segment.
+    Returns the packed output plus the padded probabilities w, the padded
+    heads qh, kh, vh and the padded-row index, kept for backward.
     """
     tn, d = q.shape
-    dh = d // n_heads
-    qh = q.reshape(tn, n_heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(tn, n_heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(tn, n_heads, dh).transpose(1, 0, 2)
-    s = 1.0 / math.sqrt(dh)
-    scores = (qh @ kh.transpose(0, 2, 1)) * s
+    lengths = (tn,) if lengths is None else tuple(int(n) for n in lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != tn:
+        raise ShapeError(f"segment lengths {lengths} do not split {tn} rows")
+    shape = (len(lengths), n_heads, max(lengths), d // n_heads)
+    rows = _padded_rows(lengths)
+    qh, kh, vh = (_to_heads(x, shape, rows) for x in (q, k, v))
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(shape[3]))
+    mask = _attention_mask(lengths, causal)
     if mask is not None:
-        scores = scores + mask[None, :, :]
+        scores = scores + mask
     m = scores.max(axis=-1, keepdims=True)
     e = np.exp(scores - m)
     w = e / e.sum(axis=-1, keepdims=True)
-    oh = w @ vh
-    out = oh.transpose(1, 0, 2).reshape(tn, d)
-    return out, w, qh, kh, vh
+    return _from_heads(w @ vh, rows), w, qh, kh, vh, rows
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                        mask: np.ndarray | None = None) -> Tensor:
+                        lengths=None, causal: bool = False) -> Tensor:
     """Scaled dot-product attention over n_heads splits of the width.
 
-    mask is an additive (T, T) numpy array (0 = attend, large negative =
-    blocked); it is a constant, so no gradient flows through it.
+    Rows are packed segments of the given lengths (default: one segment of
+    all rows); attention stays inside each segment and, when causal, never
+    looks ahead.  The mask is a constant, so no gradient flows through it.
     """
     tn, d = q.data.shape
     if k.data.shape != (tn, d) or v.data.shape != (tn, d):
@@ -461,31 +508,31 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          f"{k.data.shape} {v.data.shape}")
     if d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible by {n_heads} heads")
-    if mask is not None and mask.shape != (tn, tn):
-        raise ShapeError(f"attention mask shape {mask.shape}, want ({tn}, {tn})")
-    outd, w, qh, kh, vh = mha_forward(q.data, k.data, v.data, n_heads, mask)
+    outd, w, qh, kh, vh, rows = _mha_forward(q.data, k.data, v.data, n_heads,
+                                             lengths, causal)
     out = Tensor(outd)
     t = _active()
     if t is not None:
-        dh = d // n_heads
-        s = 1.0 / math.sqrt(dh)
+        s = 1.0 / math.sqrt(d // n_heads)
         def back(g):
-            gh = g.reshape(tn, n_heads, dh).transpose(1, 0, 2)
-            dw = gh @ vh.transpose(0, 2, 1)
-            dvh = w.transpose(0, 2, 1) @ gh
+            gh = _to_heads(g, qh.shape, rows)
+            dw = gh @ vh.transpose(0, 1, 3, 2)
+            dvh = w.transpose(0, 1, 3, 2) @ gh
             da = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
             dqh = (da @ kh) * s
-            dkh = (da.transpose(0, 2, 1) @ qh) * s
-            _acc_new(q, dqh.transpose(1, 0, 2).reshape(tn, d))
-            _acc_new(k, dkh.transpose(1, 0, 2).reshape(tn, d))
-            _acc_new(v, dvh.transpose(1, 0, 2).reshape(tn, d))
+            dkh = (da.transpose(0, 1, 3, 2) @ qh) * s
+            _acc_new(q, _from_heads(dqh, rows))
+            _acc_new(k, _from_heads(dkh, rows))
+            _acc_new(v, _from_heads(dvh, rows))
         t.record(out, (q, k, v), back)
     return out
 
 
 def attention_probs(q: np.ndarray, k: np.ndarray, n_heads: int,
-                    mask: np.ndarray | None = None) -> np.ndarray:
-    """Attention weight matrices (H, T, T) via the same code as the op."""
-    v = np.zeros_like(q)
-    _, w, _, _, _ = mha_forward(q, k, v, n_heads, mask)
-    return w
+                    lengths=None, causal: bool = False) -> np.ndarray:
+    """Attention weights via the same code as the op: (H, T, T) for one
+    segment, (B, H, Tmax, Tmax) zero on padding columns for several.
+    """
+    _, w, _, _, _, _ = _mha_forward(q, k, np.zeros_like(q), n_heads,
+                                    lengths, causal)
+    return w[0] if w.shape[0] == 1 else w

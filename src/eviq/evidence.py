@@ -25,7 +25,8 @@ from .autodiff import (
 )
 from .retrieval import EvidenceSet
 from .textdata import Vocab
-from .transformer import TransformerConfig, encoder_forward
+from .transformer import (TransformerConfig, batch_encoder_forward,
+                          encoder_forward)
 
 
 @dataclass
@@ -54,13 +55,11 @@ def evidence_token_ids(vocab: Vocab, evidence: EvidenceSet) -> list:
 
 def encode_evidence(params: dict, config: TransformerConfig,
                     evidence: EvidenceSet, vocab: Vocab) -> ContextVectors:
-    """Encode every item without recording gradients; cheap bulk pass."""
+    """Encode every item in one pass without recording gradients."""
     ids = evidence_token_ids(vocab, evidence)
-    rows = np.empty((len(ids), config.d_model))
     with no_tape():
-        for i, seq in enumerate(ids):
-            rows[i] = encoder_forward(params, config, seq,
-                                      cls_id=vocab.cls_id).data[0]
+        rows = batch_encoder_forward(params, config, ids,
+                                     cls_id=vocab.cls_id).data
     return ContextVectors(vectors=rows, token_ids=ids, evidence=evidence)
 
 

@@ -236,18 +236,37 @@ class RetrievalCache:
             self._load()
 
     def _load(self) -> None:
+        """Read the persisted records.
+
+        Every record is written with its newline, so trailing bytes without
+        one were torn by a crash mid-append and are cut from the file.  Any
+        other unreadable line, or a doc id outside the index, raises.
+        """
         if self.path is None or not self.path.exists():
             return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
+        n_docs = self.index.n_docs
+        data = self.path.read_bytes()
+        *lines, torn = data.split(b"\n")
+        if torn:
+            os.truncate(self.path, len(data) - len(torn))
+        for n, line in enumerate(lines, 1):
+            try:
                 rec = json.loads(line)
-                items = [EvidenceItem(doc_id=d,
-                                      tokens=tuple(self.index.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
-                                      raw=self.index.raw_docs[d], score=s)
-                         for d, s in rec["hits"]]
-                items.append(_empty_item())
-                self._memo[rec["event"]] = EvidenceSet(event=rec["event"],
-                                                       items=tuple(items))
+                event, hits = rec["event"], rec["hits"]
+                doc_ids = [d for d, _ in hits]
+            except (ValueError, KeyError, TypeError):
+                raise IndexError_(
+                    f"{self.path} line {n}: corrupt cache record") from None
+            for d in doc_ids:
+                if not (isinstance(d, int) and 0 <= d < n_docs):
+                    raise IndexError_(f"{self.path} line {n}: doc id {d!r} "
+                                      f"outside 0..{n_docs - 1}")
+            items = [EvidenceItem(doc_id=d,
+                                  tokens=tuple(self.index.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
+                                  raw=self.index.raw_docs[d], score=s)
+                     for d, s in hits]
+            items.append(_empty_item())
+            self._memo[event] = EvidenceSet(event=event, items=tuple(items))
 
     def get(self, event: str) -> EvidenceSet:
         hit = self._memo.get(event)

@@ -42,10 +42,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def detokenize(tokens) -> str:
-    return " ".join(tokens)
-
-
 class Vocab:
     """Token/id bijection with a fixed reserved prefix."""
 

@@ -107,7 +107,7 @@ class ToyInfo:
     events: list
 
 
-def _extend(pool, need, rng):
+def _extend(pool, need):
     pool = list(pool)
     base = len(pool)
     i = 2
@@ -156,8 +156,8 @@ def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path,
     themes = themes[:n_clusters]
     inventories = [_cluster_phrases(words, rng) for _, words in themes]
 
-    verbs = _extend(EVENT_VERBS, n_events, rng)
-    nouns = _extend(EVENT_NOUNS, n_events, rng)
+    verbs = _extend(EVENT_VERBS, n_events)
+    nouns = _extend(EVENT_NOUNS, n_events)
     verb_order = rng.permutation(len(verbs))
     noun_order = rng.permutation(len(nouns))
 

@@ -1,11 +1,15 @@
 """Small transformer stacks shared by every encoder and decoder here.
 
-One weight layout serves three call patterns: a bidirectional encoder pooled
-at a trailing summary token, a causal next-token decoder, and the decoder
-variant conditioned on a latent row vector.  All forwards run over a single
-sequence laid out as a (length, width) matrix; a block-diagonal batched
-decoder forward packs several sequences into one matrix so training steps
-pay for one tape instead of many.
+One weight layout and one forward serve three call patterns: a bidirectional
+encoder pooled at a trailing summary token, a causal next-token decoder, and
+the decoder variant conditioned on a latent row vector.  The forward takes a
+list of id sequences and keeps their rows packed end to end in one
+(total length, width) matrix, so embedding, projections, layer norm,
+feed-forward, dropout and residuals each run once over every sequence.  Only
+attention sees the sequence boundaries: it is handed the sequence lengths and
+the causal flag and builds its own mask, so no query attends across
+sequences and none looks ahead in a causal stack.  The single-sequence entry
+points are the one-sequence case of the batched ones.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from .autodiff import (
     add,
     add_rowvec,
     affine,
+    attention_probs,
     dropout,
     gather_rows,
     gelu,
     layer_norm,
     matmul_nt,
     multihead_attention,
+    no_tape,
 )
-
-NEG_INF = -1e30  # additive mask value; underflows to exact zero after softmax
 
 
 @dataclass(frozen=True)
@@ -80,76 +84,6 @@ def init_params(config: TransformerConfig, vocab_size: int,
     return p
 
 
-_MASK_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def causal_mask(n: int) -> np.ndarray:
-    got = _MASK_CACHE.get(("c", n))
-    if got is None:
-        got = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, NEG_INF)
-        _MASK_CACHE[("c", n)] = got
-    return got
-
-
-def block_causal_mask(lengths: tuple) -> np.ndarray:
-    """Causal attention inside each segment, nothing across segments."""
-    key = ("b",) + tuple(lengths)
-    got = _MASK_CACHE.get(key)
-    if got is None:
-        total = sum(lengths)
-        got = np.full((total, total), NEG_INF)
-        off = 0
-        for n in lengths:
-            got[off:off + n, off:off + n] = causal_mask(n)
-            off += n
-        _MASK_CACHE[key] = got
-    return got
-
-
-def pad_columns_mask(n: int, real: np.ndarray) -> np.ndarray:
-    """Full attention restricted to columns flagged real (shape (n,) bool)."""
-    m = np.zeros((n, n))
-    m[:, ~np.asarray(real, dtype=bool)] = NEG_INF
-    return m
-
-
-def _check_len(n: int, config: TransformerConfig) -> None:
-    if n > config.max_len:
-        raise ShapeError(f"sequence length {n} exceeds max_len {config.max_len}")
-    if n < 1:
-        raise ShapeError("empty sequence")
-
-
-def _stack(params: dict, config: TransformerConfig, h: Tensor,
-           mask: np.ndarray | None, z: Tensor | None,
-           train: bool, rng) -> Tensor:
-    """Run the block stack over hidden rows h; returns top-layer rows.
-
-    z, when given, is broadcast-added to every query, key and value right
-    after their projections in every layer.  Wiring per block: attention,
-    residual, layer norm, feed-forward, residual, layer norm.
-    """
-    p = config.dropout if train else 0.0
-    for i in range(config.n_layers):
-        pre = f"layers.{i}."
-        q = affine(h, params[pre + "attn.wq"], params[pre + "attn.bq"])
-        k = affine(h, params[pre + "attn.wk"], params[pre + "attn.bk"])
-        v = affine(h, params[pre + "attn.wv"], params[pre + "attn.bv"])
-        if z is not None:
-            q, k, v = (_add_latent(t, z) for t in (q, k, v))
-        a = multihead_attention(q, k, v, config.n_heads, mask)
-        a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
-        if p > 0.0:
-            a = dropout(a, p, rng)
-        g = layer_norm(add(a, h), params[pre + "ln1.g"], params[pre + "ln1.b"])
-        f = gelu(affine(g, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
-        f = affine(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-        if p > 0.0:
-            f = dropout(f, p, rng)
-        h = layer_norm(add(f, g), params[pre + "ln2.g"], params[pre + "ln2.b"])
-    return h
-
-
 def _add_latent(t: Tensor, z: Tensor) -> Tensor:
     # z is either one row broadcast over all positions, or one row per position
     if z.shape[0] == 1:
@@ -157,53 +91,96 @@ def _add_latent(t: Tensor, z: Tensor) -> Tensor:
     return add(t, z)
 
 
-def _check_latent(z: Tensor, config: TransformerConfig, n_rows: int) -> None:
-    if z.shape[1] != config.d_model:
-        raise ShapeError(
-            f"latent width {z.shape[1]} != d_model {config.d_model}")
-    if z.shape[0] not in (1, n_rows):
-        raise ShapeError(
-            f"latent rows {z.shape[0]} not 1 or sequence length {n_rows}")
+def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
+    """Layer i's query, key and value rows, each shifted by z when given."""
+    pre = f"layers.{i}.attn."
+    q = affine(h, params[pre + "wq"], params[pre + "bq"])
+    k = affine(h, params[pre + "wk"], params[pre + "bk"])
+    v = affine(h, params[pre + "wv"], params[pre + "bv"])
+    if z is not None:
+        q, k, v = (_add_latent(t, z) for t in (q, k, v))
+    return q, k, v
 
 
-def _embed(params: dict, config: TransformerConfig, token_ids,
-           positions=None) -> Tensor:
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if positions is None:
-        positions = np.arange(len(ids))
-    return add(gather_rows(params["tok_emb"], ids),
-               gather_rows(params["pos_emb"], positions))
+def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
+           lengths: tuple, z: Tensor | None, p: float, rng) -> Tensor:
+    """Layer i over packed rows h: attention, residual, layer norm,
+    feed-forward, residual, layer norm; dropout rate p after each sublayer.
+    """
+    pre = f"layers.{i}."
+    q, k, v = _qkv(params, i, h, z)
+    a = multihead_attention(q, k, v, config.n_heads, lengths, config.causal)
+    a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
+    if p > 0.0:
+        a = dropout(a, p, rng)
+    g = layer_norm(add(a, h), params[pre + "ln1.g"], params[pre + "ln1.b"])
+    f = gelu(affine(g, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
+    f = affine(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
+    if p > 0.0:
+        f = dropout(f, p, rng)
+    return layer_norm(add(f, g), params[pre + "ln2.g"], params[pre + "ln2.b"])
+
+
+def _forward(params: dict, config: TransformerConfig, seqs,
+             z: Tensor | None = None, train: bool = False, rng=None,
+             depth: int | None = None) -> Tensor:
+    """Packed rows of the id sequences after depth layers (default all).
+
+    Positions restart at zero inside each sequence.  z, when given, holds one
+    latent row for all rows or one per packed row; it is added to the input
+    embeddings and, in every layer, to the projected queries, keys and values.
+    """
+    lengths = tuple(len(s) for s in seqs)
+    if not lengths:
+        raise ShapeError("no sequences to pack")
+    for n in lengths:
+        if not 1 <= n <= config.max_len:
+            raise ShapeError(f"sequence length {n} outside 1..{config.max_len}")
+    ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    if z is not None and (z.shape[1] != config.d_model
+                          or z.shape[0] not in (1, len(ids))):
+        raise ShapeError(f"latent shape {z.shape}, want (1 or {len(ids)}, "
+                         f"{config.d_model})")
+    h = add(gather_rows(params["tok_emb"], ids),
+            gather_rows(params["pos_emb"], positions))
+    if z is not None:
+        h = _add_latent(h, z)
+    p = config.dropout if train else 0.0
+    if p > 0.0:
+        h = dropout(h, p, rng)
+    for i in range(config.n_layers if depth is None else depth):
+        h = _block(params, config, i, h, lengths, z, p, rng)
+    return h
 
 
 def encoder_forward(params: dict, config: TransformerConfig, token_ids,
-                    cls_id: int | None = None, real=None,
-                    train: bool = False, rng=None) -> Tensor:
+                    cls_id: int | None = None, train: bool = False,
+                    rng=None) -> Tensor:
     """Bidirectional pass pooled at the final position; returns (1, d_model).
 
-    The last token is the summary slot and must be cls_id when given.  real,
-    when given, flags genuine positions; padded columns are masked out of
-    attention and the final position must be genuine.
+    The last token is the summary slot and must be cls_id when given.
+    """
+    return batch_encoder_forward(params, config, [token_ids], cls_id,
+                                 train, rng)
+
+
+def batch_encoder_forward(params: dict, config: TransformerConfig, seqs,
+                          cls_id: int | None = None, train: bool = False,
+                          rng=None) -> Tensor:
+    """Bidirectional pass over several sequences; returns (len(seqs), d_model).
+
+    Row b is sequence b pooled at its final position, whose token must be
+    cls_id when given.
     """
     if config.causal:
-        raise ValueError("encoder_forward needs a bidirectional config")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    _check_len(len(ids), config)
-    if cls_id is not None and ids[-1] != cls_id:
-        raise ShapeError(
-            f"last token id {ids[-1]} is not the summary token {cls_id}")
-    mask = None
-    if real is not None:
-        real = np.asarray(real, dtype=bool)
-        if real.shape != ids.shape:
-            raise ShapeError("real-position flags must match sequence shape")
-        if not real[-1]:
-            raise ShapeError("summary position flagged as padding")
-        mask = pad_columns_mask(len(ids), real)
-    h = _embed(params, config, ids)
-    if train and config.dropout > 0.0:
-        h = dropout(h, config.dropout, rng)
-    h = _stack(params, config, h, mask, None, train, rng)
-    return gather_rows(h, np.array([len(ids) - 1]))
+        raise ValueError("encoder forward needs a bidirectional config")
+    for s in seqs:
+        if cls_id is not None and len(s) and s[-1] != cls_id:
+            raise ShapeError(
+                f"last token id {s[-1]} is not the summary token {cls_id}")
+    h = _forward(params, config, seqs, train=train, rng=rng)
+    return gather_rows(h, np.cumsum([len(s) for s in seqs]) - 1)
 
 
 def decoder_forward(params: dict, config: TransformerConfig, token_ids,
@@ -215,51 +192,21 @@ def decoder_forward(params: dict, config: TransformerConfig, token_ids,
     into every input embedding, into every projected query, key and value,
     and into every top-layer hidden row before the tied output projection.
     """
-    if not config.causal:
-        raise ValueError("decoder_forward needs a causal config")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    _check_len(len(ids), config)
-    if z is not None:
-        _check_latent(z, config, len(ids))
-    h = _embed(params, config, ids)
-    if z is not None:
-        h = _add_latent(h, z)
-    if train and config.dropout > 0.0:
-        h = dropout(h, config.dropout, rng)
-    h = _stack(params, config, h, causal_mask(len(ids)), z, train, rng)
-    if z is not None:
-        h = _add_latent(h, z)
-    return matmul_nt(h, params["tok_emb"])
+    return batch_decoder_forward(params, config, [token_ids], z, train, rng)
 
 
 def batch_decoder_forward(params: dict, config: TransformerConfig, seqs,
                           z_rows: Tensor | None = None, train: bool = False,
                           rng=None) -> Tensor:
-    """Causal pass over several sequences packed into one row matrix.
+    """Causal pass over several sequences packed end to end.
 
-    seqs is a list of id sequences; rows are concatenated, positions restart
-    at zero inside each one, and the mask keeps attention within each
-    segment.  z_rows, when given, carries one latent row per packed row.
-    Returns logits (sum of lengths, vocab).
+    Returns logits (sum of lengths, vocab), sequence after sequence.
+    z_rows, when given, is one latent row for every packed row or a single
+    row shared by all of them.
     """
     if not config.causal:
-        raise ValueError("batch_decoder_forward needs a causal config")
-    lengths = tuple(len(s) for s in seqs)
-    if not lengths:
-        raise ShapeError("no sequences to pack")
-    for n in lengths:
-        _check_len(n, config)
-    ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    positions = np.concatenate([np.arange(n) for n in lengths])
-    if z_rows is not None:
-        _check_latent(z_rows, config, len(ids))
-    h = _embed(params, config, ids, positions)
-    if z_rows is not None:
-        h = _add_latent(h, z_rows)
-    if train and config.dropout > 0.0:
-        h = dropout(h, config.dropout, rng)
-    h = _stack(params, config, h, block_causal_mask(lengths), z_rows,
-               train, rng)
+        raise ValueError("decoder forward needs a causal config")
+    h = _forward(params, config, seqs, z_rows, train, rng)
     if z_rows is not None:
         h = _add_latent(h, z_rows)
     return matmul_nt(h, params["tok_emb"])
@@ -267,27 +214,11 @@ def batch_decoder_forward(params: dict, config: TransformerConfig, seqs,
 
 def attention_weight_matrix(params: dict, config: TransformerConfig,
                             token_ids, layer: int = 0) -> np.ndarray:
-    """Softmax attention weights of one layer, for mask inspection."""
-    from .autodiff import attention_probs, no_tape
-
-    ids = np.asarray(token_ids, dtype=np.int64)
-    _check_len(len(ids), config)
-    mask = causal_mask(len(ids)) if config.causal else None
+    """Softmax attention weights (H, T, T) of one layer, for mask inspection."""
+    if not 0 <= layer < config.n_layers:
+        raise ValueError(f"layer {layer} outside 0..{config.n_layers - 1}")
     with no_tape():
-        h = _embed(params, config, ids)
-        for i in range(config.n_layers):
-            pre = f"layers.{i}."
-            q = affine(h, params[pre + "attn.wq"], params[pre + "attn.bq"])
-            k = affine(h, params[pre + "attn.wk"], params[pre + "attn.bk"])
-            v = affine(h, params[pre + "attn.wv"], params[pre + "attn.bv"])
-            if i == layer:
-                return attention_probs(q.data, k.data, config.n_heads, mask)
-            a = multihead_attention(q, k, v, config.n_heads, mask)
-            a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
-            g = layer_norm(add(a, h), params[pre + "ln1.g"],
-                           params[pre + "ln1.b"])
-            f = gelu(affine(g, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
-            f = affine(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-            h = layer_norm(add(f, g), params[pre + "ln2.g"],
-                           params[pre + "ln2.b"])
-    raise ValueError(f"layer {layer} outside 0..{config.n_layers - 1}")
+        h = _forward(params, config, [token_ids], depth=layer)
+        q, k, _ = _qkv(params, layer, h, None)
+    return attention_probs(q.data, k.data, config.n_heads,
+                           causal=config.causal)

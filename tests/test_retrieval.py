@@ -176,3 +176,35 @@ def test_retrieval_cache_hits_memo_and_disk(tmp_path, idx3, monkeypatch):
     c = cache2.get("the cat")
     assert [i.doc_id for i in c.items] == [i.doc_id for i in a.items]
     assert [i.score for i in c.items] == [i.score for i in a.items]
+
+
+def test_retrieval_cache_truncates_torn_final_line(tmp_path, idx3):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    want = [i.doc_id for i in cache.get("the cat").items]
+    whole = cache.path.read_bytes()
+    cache.path.write_bytes(whole + b'{"event": "the dog", "hits": [[1, 0.')
+    again = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    assert cache.path.read_bytes() == whole
+    assert [i.doc_id for i in again.get("the cat").items] == want
+    again.get("the dog")  # appends cleanly after the cut
+    assert len(rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)._memo) == 2
+
+
+def test_retrieval_cache_corrupt_inner_line_names_file_and_line(tmp_path, idx3):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    cache.path.write_bytes(b"{not json\n" + cache.path.read_bytes())
+    with pytest.raises(rt.IndexError_) as e:
+        rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    assert cache.path.name in str(e.value) and "line 1" in str(e.value)
+
+
+@pytest.mark.parametrize("doc_id", [-1, 3])
+def test_retrieval_cache_rejects_doc_id_outside_index(tmp_path, idx3, doc_id):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write('{"event": "the dog", "hits": [[%d, 1.0]]}\n' % doc_id)
+    with pytest.raises(rt.IndexError_) as e:
+        rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    assert cache.path.name in str(e.value) and "line 2" in str(e.value)

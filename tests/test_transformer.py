@@ -66,18 +66,18 @@ def test_encoder_rejects_overlong(enc_setup):
     assert str(cfg.max_len) in str(e.value)
 
 
-def test_encoder_pad_positions_inert(enc_setup):
-    # swapping which junk ids sit in masked slots must not move the pooled h
-    cfg, params = enc_setup
-    real = [True, True, False, False, True]
-    a = tf.encoder_forward(params, cfg, [4, 5, 0, 0, CLS], cls_id=CLS,
-                           real=real)
-    b = tf.encoder_forward(params, cfg, [4, 5, 9, 17, CLS], cls_id=CLS,
-                           real=real)
-    assert np.allclose(a.data, b.data, atol=1e-12)
-    c = tf.encoder_forward(params, cfg, [4, 6, 0, 0, CLS], cls_id=CLS,
-                           real=real)
-    assert not np.allclose(a.data, c.data, atol=1e-6)
+def test_batch_encoder_matches_per_sequence():
+    # mixed lengths: padding inside attention must not leak between items
+    cfg = small_cfg(max_len=32)
+    params = tf.init_params(cfg, 20, np.random.default_rng(0))
+    rng = np.random.default_rng(8)
+    seqs = [[4, 5, 6, CLS], [1, CLS], list(rng.integers(4, 20, 24)) + [CLS],
+            [7, CLS], [9, 10, 11, 12, 13, CLS]]
+    pooled = tf.batch_encoder_forward(params, cfg, seqs, cls_id=CLS).data
+    assert pooled.shape == (len(seqs), cfg.d_model)
+    for row, s in zip(pooled, seqs):
+        single = tf.encoder_forward(params, cfg, s, cls_id=CLS).data[0]
+        assert np.allclose(row, single, rtol=0.0, atol=1e-12)
 
 
 def test_encoder_gradients_match_finite_differences(enc_setup):
