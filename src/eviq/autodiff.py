@@ -469,6 +469,23 @@ def _attention_mask(lengths: tuple, causal: bool) -> np.ndarray | None:
     return np.where(keep, 0.0, NEG_INF)[:, None]
 
 
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
+            mask: np.ndarray | None):
+    """Scaled dot-product scores, additive mask, softmax, weighted values.
+
+    Heads run over the leading axes: qh (..., Tq, dh), kh and vh
+    (..., Tk, dh), mask broadcastable to (..., Tq, Tk).  Returns the
+    attended values and the softmax weights.
+    """
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    if mask is not None:
+        scores = scores + mask
+    m = scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores - m)
+    w = e / e.sum(axis=-1, keepdims=True)
+    return w @ vh, w
+
+
 def _mha_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
                  lengths, causal: bool):
     """Shared multi-head attention forward over packed segments.
@@ -484,14 +501,8 @@ def _mha_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     shape = (len(lengths), n_heads, max(lengths), d // n_heads)
     rows = _padded_rows(lengths)
     qh, kh, vh = (_to_heads(x, shape, rows) for x in (q, k, v))
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(shape[3]))
-    mask = _attention_mask(lengths, causal)
-    if mask is not None:
-        scores = scores + mask
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    w = e / e.sum(axis=-1, keepdims=True)
-    return _from_heads(w @ vh, rows), w, qh, kh, vh, rows
+    out, w = _attend(qh, kh, vh, _attention_mask(lengths, causal))
+    return _from_heads(out, rows), w, qh, kh, vh, rows
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -536,3 +547,20 @@ def attention_probs(q: np.ndarray, k: np.ndarray, n_heads: int,
     _, w, _, _, _, _ = _mha_forward(q, k, np.zeros_like(q), n_heads,
                                     lengths, causal)
     return w[0] if w.shape[0] == 1 else w
+
+
+def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     n_heads: int, mask: np.ndarray) -> np.ndarray:
+    """Untaped attention of query rows over their own key and value rows.
+
+    q: (n, d) queries; k, v: (m, d) keys and values; mask: additive
+    (n, m), NEG_INF where a query must not look.  Same score and softmax
+    code as the op; returns the (n, d) attended rows.
+    """
+    d = q.shape[1]
+    if k.shape != v.shape or k.shape[1] != d or mask.shape != (len(q), len(k)):
+        raise ShapeError(f"attention rows: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, mask {mask.shape}")
+    qh, kh, vh = (_to_heads(x, (1, n_heads, len(x), d // n_heads), None)
+                  for x in (q, k, v))
+    return _from_heads(_attend(qh, kh, vh, mask)[0], None)

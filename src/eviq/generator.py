@@ -3,8 +3,17 @@
 The generator consumes one flat token sequence: evidence paragraph,
 separator, event, dimension tag, begin marker, then the target prefix.
 Scoring sums next-token log-probabilities over the target positions
-(end marker included); decoding runs a standard beam search with
-deterministic tie-breaking and length-normalized final ranking.
+(end marker included).
+
+Decoding is a beam search with deterministic tie-breaking and a
+length-normalized final ranking.  It runs the decoder incrementally: one
+forward over the prefix fills a per-layer key/value cache, and each step
+after that is one forward over just the live hypotheses' newest tokens,
+one row each, attending to the cache.  Survivors come from the
+(hypotheses, vocab) matrix of cumulative log-probabilities: the entries at
+or above its 2*width-th largest value are the only ones the keep and finish
+rules can reach, and one lexsort orders them by score, then by token
+sequence.  The cache then follows each survivor's parent.
 """
 
 from __future__ import annotations
@@ -20,7 +29,12 @@ from .textdata import (
     MAX_INFERENCE_TOKENS,
     Vocab,
 )
-from .transformer import TransformerConfig, decoder_forward
+from .transformer import (
+    KVCache,
+    TransformerConfig,
+    cached_next_logits,
+    decoder_forward,
+)
 
 _SEGMENT_CAPS = (("evidence", MAX_EVIDENCE_TOKENS),
                  ("event", MAX_EVENT_TOKENS),
@@ -112,8 +126,14 @@ def next_token_logprobs(params: dict, config: TransformerConfig,
     """Log next-token distribution after the given prefix; no recording."""
     with no_tape():
         logits = decoder_forward(params, config, prefix_ids).data[-1]
-    m = logits.max()
-    return logits - (m + np.log(np.exp(logits - m).sum()))
+    return _log_softmax(logits)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis, one distribution per row."""
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1,
+                                                         keepdims=True)))
 
 
 @dataclass(frozen=True)
@@ -155,33 +175,48 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
     if len(prefix) + max_steps > config.max_len:
         raise ShapeError(f"prefix {len(prefix)} + {max_steps} decode steps "
                          f"exceeds max_len {config.max_len}")
-    active = [((), 0.0)]
+    cache = KVCache()
+    logp = _log_softmax(cached_next_logits(params, config, [prefix], cache))
+    tokens = np.zeros((1, 0), dtype=np.int64)   # one row per live hypothesis
+    cum = np.zeros(1)                           # their raw log-probabilities
     finished: list[Hypothesis] = []
-    for _ in range(max_steps):
-        expansions = []
-        for tokens, cum in active:
-            logp = next_token_logprobs(
-                params, config, np.concatenate([prefix, np.array(tokens,
-                                                                 dtype=np.int64)]))
-            for v in range(len(logp)):
-                expansions.append((tokens + (v,), cum + float(logp[v])))
-        expansions.sort(key=lambda h: (-h[1], h[0]))
-        active = []
-        for rank, (tokens, cum) in enumerate(expansions):
-            if tokens[-1] == vocab.eos_id:
+    for step in range(max_steps):
+        if step:
+            cache.reorder(parents)
+            logp = _log_softmax(cached_next_logits(params, config,
+                                                   tokens[:, -1:], cache))
+        scores = (cum[:, None] + logp).ravel()
+        # each parent has one end-marked expansion, so the first width
+        # unfinished survivors sit in the top 2*width; ties at the cut stay
+        n = scores.size - 2 * width
+        cand = (np.flatnonzero(scores >= np.partition(scores, n)[n]) if n > 0
+                else np.arange(scores.size))
+        parent, tok = np.divmod(cand, logp.shape[1])
+        rank = np.zeros(len(tokens), dtype=np.int64)
+        if step:
+            rank[np.lexsort(tokens.T[::-1])] = np.arange(len(tokens))
+        cand_order = np.lexsort((tok, rank[parent], -scores[cand]))
+        keep = []
+        for r, c in enumerate(cand_order):
+            if tok[c] == vocab.eos_id:
                 # a hypothesis finishes only while competitive: its end-marked
                 # expansion must sit within the top width this step
-                if rank < width:
-                    finished.append(Hypothesis(tokens=tokens, logprob=cum,
-                                               finished=True))
-            elif len(active) < width:
-                active.append((tokens, cum))
-        if not active or len(finished) >= width:
+                if r < width:
+                    finished.append(Hypothesis(
+                        tokens=tuple(tokens[parent[c]].tolist())
+                        + (vocab.eos_id,),
+                        logprob=float(scores[cand[c]]), finished=True))
+            elif len(keep) < width:
+                keep.append(c)
+        parents = parent[keep]
+        tokens = np.hstack([tokens[parents], tok[keep][:, None]])
+        cum = scores[cand[keep]]
+        if not keep or len(finished) >= width:
             break
     if finished:
         finished.sort(key=lambda h: (-h.score(length_norm), h.tokens))
         return BeamResult(hypotheses=finished[:width], truncated=False)
-    leftovers = [Hypothesis(tokens=t, logprob=c, finished=False)
-                 for t, c in active]
+    leftovers = [Hypothesis(tokens=tuple(t), logprob=float(c), finished=False)
+                 for t, c in zip(tokens.tolist(), cum)]
     leftovers.sort(key=lambda h: (-h.score(length_norm), h.tokens))
     return BeamResult(hypotheses=leftovers[:width], truncated=True)

@@ -9,7 +9,10 @@ feed-forward, dropout and residuals each run once over every sequence.  Only
 attention sees the sequence boundaries: it is handed the sequence lengths and
 the causal flag and builds its own mask, so no query attends across
 sequences and none looks ahead in a causal stack.  The single-sequence entry
-points are the one-sequence case of the batched ones.
+points are the one-sequence case of the batched ones.  Incremental decoding
+runs the same forward with a KVCache: each layer's attention then reads the
+keys and values of earlier positions from the cache instead of recomputing
+them, and adds its own.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    NEG_INF,
     ShapeError,
     Tensor,
     add,
@@ -29,6 +33,7 @@ from .autodiff import (
     gather_rows,
     gelu,
     layer_norm,
+    masked_attention,
     matmul_nt,
     multihead_attention,
     no_tape,
@@ -102,14 +107,72 @@ def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
     return q, k, v
 
 
+class KVCache:
+    """Per-layer keys and values of causal decodes that share one prefix.
+
+    The first forward through the cache runs over the prefix alone and keeps
+    every layer's key and value rows.  Each later forward takes one new token
+    per live sequence: its row attends to the prefix, to the rows decoded
+    earlier for that sequence and to itself, and its keys and values join
+    that sequence's rows.  reorder picks the sequences that live on.
+    """
+
+    def __init__(self):
+        self.prefix = []   # per layer: keys, values of the prefix, (P, d)
+        self.grown = []    # per layer: keys, values decoded since, (B, t, d)
+
+    def begin(self, lengths: tuple) -> int:
+        """Check a forward's sequence lengths; return its first position."""
+        if not self.prefix:
+            if len(lengths) != 1:
+                raise ShapeError("an empty cache takes one prefix sequence, "
+                                 f"got {len(lengths)}")
+            return 0
+        b, t = self.grown[0][0].shape[:2]
+        if lengths != (1,) * b:
+            raise ShapeError(f"cache holds {b} sequences, each forward takes "
+                             f"one token apiece; got lengths {lengths}")
+        return len(self.prefix[0][0]) + t
+
+    def attend(self, i: int, q: Tensor, k: Tensor, v: Tensor,
+               n_heads: int) -> Tensor:
+        """Layer i's attention output, keeping the layer's new keys and values."""
+        if i == len(self.prefix):   # the prefix pass fills layers in order
+            d = k.shape[1]
+            self.prefix.append((k.data, v.data))
+            self.grown.append((np.zeros((1, 0, d)), np.zeros((1, 0, d))))
+            return multihead_attention(q, k, v, n_heads, causal=True)
+        gk, gv = (np.concatenate([g, x.data[:, None]], axis=1)
+                  for g, x in zip(self.grown[i], (k, v)))
+        self.grown[i] = (gk, gv)
+        b, t, d = gk.shape
+        pk, pv = self.prefix[i]
+        own = np.repeat(np.arange(b), t) == np.arange(b)[:, None]
+        mask = np.hstack([np.zeros((b, len(pk))),
+                          np.where(own, 0.0, NEG_INF)])
+        return Tensor(masked_attention(
+            q.data, np.concatenate([pk, gk.reshape(b * t, d)]),
+            np.concatenate([pv, gv.reshape(b * t, d)]), n_heads, mask))
+
+    def reorder(self, parents) -> None:
+        """Live on as the sequences at these indices, repeats allowed."""
+        self.grown = [(k[parents], v[parents]) for k, v in self.grown]
+
+
 def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
-           lengths: tuple, z: Tensor | None, p: float, rng) -> Tensor:
+           lengths: tuple, z: Tensor | None, p: float, rng,
+           cache: KVCache | None = None) -> Tensor:
     """Layer i over packed rows h: attention, residual, layer norm,
     feed-forward, residual, layer norm; dropout rate p after each sublayer.
+    With a cache, attention reads and extends it instead of seeing only h.
     """
     pre = f"layers.{i}."
     q, k, v = _qkv(params, i, h, z)
-    a = multihead_attention(q, k, v, config.n_heads, lengths, config.causal)
+    if cache is None:
+        a = multihead_attention(q, k, v, config.n_heads, lengths,
+                                config.causal)
+    else:
+        a = cache.attend(i, q, k, v, config.n_heads)
     a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
     if p > 0.0:
         a = dropout(a, p, rng)
@@ -123,21 +186,24 @@ def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
 
 def _forward(params: dict, config: TransformerConfig, seqs,
              z: Tensor | None = None, train: bool = False, rng=None,
-             depth: int | None = None) -> Tensor:
+             depth: int | None = None, cache: KVCache | None = None) -> Tensor:
     """Packed rows of the id sequences after depth layers (default all).
 
-    Positions restart at zero inside each sequence.  z, when given, holds one
-    latent row for all rows or one per packed row; it is added to the input
-    embeddings and, in every layer, to the projected queries, keys and values.
+    Positions restart at zero inside each sequence, or continue after the
+    rows a cache holds.  z, when given, holds one latent row for all rows or
+    one per packed row; it is added to the input embeddings and, in every
+    layer, to the projected queries, keys and values.
     """
     lengths = tuple(len(s) for s in seqs)
     if not lengths:
         raise ShapeError("no sequences to pack")
+    start = 0 if cache is None else cache.begin(lengths)
     for n in lengths:
-        if not 1 <= n <= config.max_len:
-            raise ShapeError(f"sequence length {n} outside 1..{config.max_len}")
+        if not 1 <= start + n <= config.max_len:
+            raise ShapeError(f"sequence length {start + n} outside "
+                             f"1..{config.max_len}")
     ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    positions = np.concatenate([np.arange(n) for n in lengths])
+    positions = np.concatenate([np.arange(start, start + n) for n in lengths])
     if z is not None and (z.shape[1] != config.d_model
                           or z.shape[0] not in (1, len(ids))):
         raise ShapeError(f"latent shape {z.shape}, want (1 or {len(ids)}, "
@@ -150,7 +216,7 @@ def _forward(params: dict, config: TransformerConfig, seqs,
     if p > 0.0:
         h = dropout(h, p, rng)
     for i in range(config.n_layers if depth is None else depth):
-        h = _block(params, config, i, h, lengths, z, p, rng)
+        h = _block(params, config, i, h, lengths, z, p, rng, cache)
     return h
 
 
@@ -210,6 +276,22 @@ def batch_decoder_forward(params: dict, config: TransformerConfig, seqs,
     if z_rows is not None:
         h = _add_latent(h, z_rows)
     return matmul_nt(h, params["tok_emb"])
+
+
+def cached_next_logits(params: dict, config: TransformerConfig, seqs,
+                       cache: KVCache) -> np.ndarray:
+    """Next-token logits after each sequence, continuing the cache's decodes.
+
+    Untaped and without dropout.  An empty cache takes one sequence, the
+    shared prefix; later calls take one token per sequence the cache holds.
+    Returns one (vocab,) logit row per sequence.
+    """
+    if not config.causal:
+        raise ValueError("cached decoding needs a causal config")
+    with no_tape():
+        h = _forward(params, config, seqs, cache=cache)
+        last = np.cumsum([len(s) for s in seqs]) - 1
+        return matmul_nt(gather_rows(h, last), params["tok_emb"]).data
 
 
 def attention_weight_matrix(params: dict, config: TransformerConfig,

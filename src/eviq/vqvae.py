@@ -159,5 +159,7 @@ def sample_code(probs, rng: np.random.Generator) -> int:
 def code_utilization(code_indices, n_codes: int) -> np.ndarray:
     counts = np.zeros(n_codes, dtype=np.int64)
     for idx in code_indices:
+        if not 0 <= idx < n_codes:
+            raise ValueError(f"code index {idx} outside 0..{n_codes - 1}")
         counts[idx] += 1
     return counts

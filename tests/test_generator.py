@@ -255,3 +255,148 @@ def test_beam_rejects_bad_arguments(setup):
     with pytest.raises(ValueError):
         gen.beam_search(params, cfg, vocab, [4], [5], "xIntent",
                         length_norm="sum")
+
+
+def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps,
+                    length_norm="mean"):
+    # the decode this module ran before its key/value cache: every step
+    # recomputes each live hypothesis from scratch and sorts the full list
+    # of width x vocab expansions by (score, token tuple)
+    prefix = gen.assemble(vocab, cfg, ev, x, dimension).input_ids
+    active = [((), 0.0)]
+    finished = []
+    for _ in range(max_steps):
+        expansions = []
+        for tokens, cum in active:
+            logp = gen.next_token_logprobs(
+                params, cfg, np.concatenate([prefix, np.array(tokens,
+                                                              dtype=np.int64)]))
+            for v in range(len(logp)):
+                expansions.append((tokens + (v,), cum + float(logp[v])))
+        expansions.sort(key=lambda h: (-h[1], h[0]))
+        active = []
+        for rank, (tokens, cum) in enumerate(expansions):
+            if tokens[-1] == vocab.eos_id:
+                if rank < width:
+                    finished.append(gen.Hypothesis(tokens=tokens, logprob=cum,
+                                                   finished=True))
+            elif len(active) < width:
+                active.append((tokens, cum))
+        if not active or len(finished) >= width:
+            break
+    if finished:
+        finished.sort(key=lambda h: (-h.score(length_norm), h.tokens))
+        return gen.BeamResult(hypotheses=finished[:width], truncated=False)
+    leftovers = [gen.Hypothesis(tokens=t, logprob=c, finished=False)
+                 for t, c in active]
+    leftovers.sort(key=lambda h: (-h.score(length_norm), h.tokens))
+    return gen.BeamResult(hypotheses=leftovers[:width], truncated=True)
+
+
+def _assert_same_beam(got, want):
+    assert got.truncated == want.truncated
+    assert [(h.tokens, h.finished) for h in got.hypotheses] \
+        == [(h.tokens, h.finished) for h in want.hypotheses]
+    for g, w in zip(got.hypotheses, want.hypotheses):
+        assert all(type(t) is int for t in g.tokens)
+        assert abs(g.logprob - w.logprob) < 1e-10
+
+
+@pytest.mark.parametrize("length_norm", ["mean", "none"])
+@pytest.mark.parametrize("width", [1, 3, 10, 64])
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_beam_matches_reference_tiny_vocab(seed, width, length_norm):
+    vocab, cfg, params = _tiny_vocab_model(seed=seed)
+    for x in (vocab.encode(["a"]), vocab.encode(["b", "a"])):
+        args = (params, cfg, vocab, [vocab.empty_id], x, "xIntent")
+        _assert_same_beam(
+            gen.beam_search(*args, width=width, max_steps=4,
+                            length_norm=length_norm),
+            _reference_beam(*args, width=width, max_steps=4,
+                            length_norm=length_norm))
+
+
+@pytest.mark.parametrize("length_norm", ["mean", "none"])
+@pytest.mark.parametrize("width", [1, 3, 10, 64])
+def test_beam_matches_reference_setup(setup, width, length_norm):
+    vocab, cfg, params = setup
+    args = (params, cfg, vocab, _ids(vocab, "alpha", "gamma"),
+            _ids(vocab, "beta"), "xReact")
+    _assert_same_beam(
+        gen.beam_search(*args, width=width, max_steps=5,
+                        length_norm=length_norm),
+        _reference_beam(*args, width=width, max_steps=5,
+                        length_norm=length_norm))
+
+
+@pytest.mark.parametrize("width", [3, 10])
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_beam_matches_reference_with_likely_end_marker(seed, width):
+    # end-marked expansions crowd the top of each step, so the unfinished
+    # survivors must come from below the top width entries
+    vocab, cfg, params = _tiny_vocab_model(seed=seed)
+    params["layers.0.ln2.b"].data[0] = 1.0
+    params["tok_emb"].data[vocab.eos_id] = 1.0 / cfg.d_model
+    args = (params, cfg, vocab, [vocab.empty_id], vocab.encode(["a"]),
+            "xIntent")
+    prefix = gen.assemble(vocab, cfg, *args[3:]).input_ids
+    assert np.argmax(gen.next_token_logprobs(params, cfg, prefix)) \
+        == vocab.eos_id
+    _assert_same_beam(gen.beam_search(*args, width=width, max_steps=4),
+                      _reference_beam(*args, width=width, max_steps=4))
+
+
+@pytest.mark.parametrize("width", [1, 3, 10])
+def test_beam_tied_logits_order_by_token_id(width):
+    # a zero embedding makes every logit equal: scores tie everywhere, and
+    # only the token-id order can pick survivors and rank results
+    vocab, cfg, params = _tiny_vocab_model(seed=3)
+    params["tok_emb"].data[:] = 0.0
+    args = (params, cfg, vocab, [vocab.empty_id], vocab.encode(["a"]),
+            "xIntent")
+    prefix = gen.assemble(vocab, cfg, *args[3:]).input_ids
+    assert np.ptp(gen.next_token_logprobs(params, cfg, prefix)) == 0.0
+    _assert_same_beam(gen.beam_search(*args, width=width, max_steps=3),
+                      _reference_beam(*args, width=width, max_steps=3))
+
+
+def test_cached_logprobs_match_recomputation(setup, monkeypatch):
+    # follow the beam's own cache: rebuild each live hypothesis from the
+    # parents it is reordered by and the tokens it is fed, then compare the
+    # cached next-token distribution with a forward over the whole sequence
+    vocab, cfg, params = setup
+    calls = []
+
+    class Recording(tf.KVCache):
+        def reorder(self, parents):
+            calls.append(("reorder", np.array(parents)))
+            super().reorder(parents)
+
+    def recording_logits(params_, cfg_, seqs, cache):
+        out = tf.cached_next_logits(params_, cfg_, seqs, cache)
+        calls.append(("forward", np.asarray(seqs), out))
+        return out
+
+    monkeypatch.setattr(gen, "KVCache", Recording)
+    monkeypatch.setattr(gen, "cached_next_logits", recording_logits)
+    ev, x = _ids(vocab, "alpha"), _ids(vocab, "beta", "gamma")
+    gen.beam_search(params, cfg, vocab, ev, x, "xReact", width=4,
+                    max_steps=6)
+    prefix = gen.assemble(vocab, cfg, ev, x, "xReact").input_ids
+    live, shared, checked = [()], False, 0
+    for call in calls:
+        if call[0] == "reorder":
+            parents = call[1]
+            shared |= len(set(parents.tolist())) < len(parents)
+            live = [live[p] for p in parents]
+            continue
+        seqs, logits = call[1], call[2]
+        if checked:   # later forwards feed one token per live hypothesis
+            live = [h + (int(s[0]),) for h, s in zip(live, seqs)]
+        assert len(logits) == len(live)
+        for hyp, row in zip(live, logits):
+            want = gen.next_token_logprobs(
+                params, cfg, np.concatenate([prefix, np.array(hyp, dtype=np.int64)]))
+            assert np.abs(gen._log_softmax(row) - want).max() < 1e-10
+        checked += 1
+    assert shared and checked > 2

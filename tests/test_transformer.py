@@ -263,6 +263,45 @@ def test_batch_decoder_with_per_row_latents(dec_setup):
         off += len(s)
 
 
+def test_cached_decode_matches_full_forward(dec_setup):
+    # branch one prefix into three sequences, two from the same parent, and
+    # compare each cached step with a forward over the whole sequence
+    cfg, params = dec_setup
+
+    def check(got, seqs):
+        want = np.stack([tf.decoder_forward(params, cfg, s).data[-1]
+                         for s in seqs])
+        assert np.abs(got - want).max() < 1e-12
+
+    cache = tf.KVCache()
+    seqs = [[4, 5, 6, 7]]
+    check(tf.cached_next_logits(params, cfg, seqs, cache), seqs)
+    for parents, toks in (([0, 0], [8, 9]), ([1, 1, 0], [10, 11, 12]),
+                          ([2, 0, 1], [13, 14, 15])):
+        cache.reorder(parents)
+        seqs = [seqs[p] + [t] for p, t in zip(parents, toks)]
+        check(tf.cached_next_logits(params, cfg, [[t] for t in toks], cache),
+              seqs)
+
+
+def test_cached_decode_rejects_bad_shapes(dec_setup):
+    cfg, params = dec_setup
+    cache = tf.KVCache()
+    with pytest.raises(ShapeError):
+        tf.cached_next_logits(params, cfg, [[4], [5]], cache)
+    tf.cached_next_logits(params, cfg, [[4] * (cfg.max_len - 1)], cache)
+    cache.reorder([0, 0])
+    with pytest.raises(ShapeError):   # one token per cached sequence
+        tf.cached_next_logits(params, cfg, [[5]], cache)
+    with pytest.raises(ShapeError):
+        tf.cached_next_logits(params, cfg, [[5, 6], [7, 8]], cache)
+    tf.cached_next_logits(params, cfg, [[5], [6]], cache)
+    with pytest.raises(ShapeError):   # past max_len
+        tf.cached_next_logits(params, cfg, [[7], [8]], cache)
+    with pytest.raises(ValueError):
+        tf.cached_next_logits(params, small_cfg(), [[4]], tf.KVCache())
+
+
 def test_dropout_train_mode_differs_eval_deterministic():
     cfg = small_cfg(causal=True, dropout=0.5)
     params = tf.init_params(cfg, 20, np.random.default_rng(2))

@@ -338,3 +338,10 @@ def test_sample_code_frequencies_within_three_sigma():
 def test_code_utilization_counts():
     counts = vq.code_utilization([0, 2, 2, 5], 8)
     assert counts.tolist() == [1, 0, 2, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_code_utilization_rejects_bad_index(bad):
+    # -1 used to count into the last code; n_codes raised a bare IndexError
+    with pytest.raises(ValueError, match="outside 0..3"):
+        vq.code_utilization([0, bad], 4)
