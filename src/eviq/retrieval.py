@@ -3,6 +3,13 @@
 Queries are tokenized events with stop words removed.  Results always carry a
 trailing empty placeholder item so downstream selection can prefer "no
 evidence".  Okapi parameters k1=1.2, b=0.75 with the +1-inside-log idf.
+
+The postings are one flat (nnz, 2) little-endian uint32 array of (doc id, tf)
+rows, term by term in sorted term order, doc ids ascending within a term; the
+per-term views of it are what the index keeps, saves and loads in one block.
+A search adds each query term's BM25 contribution into a dense per-doc score
+array and ranks by (score desc, doc id asc), the same floating-point
+operations in the same order as the scalar `bm25_score`.
 """
 
 from __future__ import annotations
@@ -12,8 +19,11 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .container import read_container, write_container
 from .textdata import EMPTY, MAX_EVIDENCE_TOKENS, tokenize
@@ -34,7 +44,8 @@ STOPWORDS = frozenset((
 EMPTY_DOC_ID = -1
 
 _MAGIC = b"EVQINDX1"
-_VERSION = 1
+_VERSION = 2
+_U32 = np.dtype("<u4")
 
 
 class IndexError_(ValueError):
@@ -68,25 +79,50 @@ def _empty_item() -> EvidenceItem:
 
 
 class InvertedIndex:
-    """Immutable BM25 index: doc store, postings, lengths, average length."""
+    """Immutable BM25 index: doc store, postings, lengths, average length.
+
+    Every posting is a (doc id, tf) row of one flat ``(nnz, 2)`` little-endian
+    uint32 array, grouped by term in sorted term order, doc ids ascending
+    within a term.  ``postings`` maps each term, in that order, to its
+    read-only ``(df, 2)`` view of the array.
+    """
 
     def __init__(self, raw_docs: list[str]):
         if not raw_docs:
             raise IndexError_("corpus is empty, nothing to index")
         self.raw_docs = list(raw_docs)
         self.doc_tokens = [tokenize(d) for d in self.raw_docs]
-        self.doc_lengths = [len(t) for t in self.doc_tokens]
-        self.n_docs = len(self.raw_docs)
-        self.avg_doc_length = sum(self.doc_lengths) / self.n_docs
-        postings: dict[str, list] = {}
+        term_ids: dict[str, int] = {}
+        tids, docs, tfs = [], [], []
         for doc_id, toks in enumerate(self.doc_tokens):
-            counts: dict[str, int] = {}
-            for t in toks:
-                counts[t] = counts.get(t, 0) + 1
-            for term in sorted(counts):
-                postings.setdefault(term, []).append((doc_id, counts[term]))
-        # doc ids ascend by construction; keep term order sorted for determinism
-        self.postings = {t: postings[t] for t in sorted(postings)}
+            for term, tf in Counter(toks).items():
+                tids.append(term_ids.setdefault(term, len(term_ids)))
+                docs.append(doc_id)
+                tfs.append(tf)
+        terms = sorted(term_ids)
+        rank = np.empty(len(terms), dtype=np.int64)
+        rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
+        term_rank = rank[np.asarray(tids, dtype=np.int64)]
+        order = np.argsort(term_rank, kind="stable")  # keeps doc ids ascending
+        flat = np.empty((len(order), 2), dtype=_U32)
+        flat[:, 0] = np.asarray(docs, dtype=np.int64)[order]
+        flat[:, 1] = np.asarray(tfs, dtype=np.int64)[order]
+        self._set_postings(terms, np.bincount(term_rank, minlength=len(terms)), flat)
+
+    def _set_postings(self, terms: list, df, flat) -> None:
+        """Attach the postings array; derive doc lengths and BM25 length norms."""
+        self.n_docs = len(self.raw_docs)
+        self.doc_lengths = [len(t) for t in self.doc_tokens]
+        self.avg_doc_length = sum(self.doc_lengths) / self.n_docs
+        flat.flags.writeable = False
+        self._postings = flat
+        ends = np.cumsum(df, dtype=np.int64).tolist()
+        self.postings = {t: flat[a:b] for t, a, b in zip(terms, [0] + ends, ends)}
+        # K1 * (1 - B + B * dl / avgdl), the same float ops bm25_score makes;
+        # a corpus with no tokens has no postings, so its norm is never read
+        dl = np.asarray(self.doc_lengths, dtype=np.float64)
+        self._norm = (K1 * (1.0 - B + B * dl / self.avg_doc_length)
+                      if self.avg_doc_length else np.zeros(self.n_docs))
 
     @classmethod
     def build(cls, corpus_path) -> "InvertedIndex":
@@ -96,55 +132,74 @@ class InvertedIndex:
         return cls(docs)
 
     # --- persistence -------------------------------------------------------
+    #
+    # Payload: n_docs, n_terms (uint32 each); the uint32 arrays doc byte
+    # lengths (n_docs), term byte lengths (n_terms) and df (n_terms); the
+    # postings array as it sits in memory (sum(df) rows); then the UTF-8 doc
+    # texts and terms back to back.  Doc lengths are recounted on load.
 
     def save(self, path) -> None:
-        parts = [struct.pack("<I", self.n_docs)]
-        for raw in self.raw_docs:
-            b = raw.encode("utf-8")
-            parts.append(struct.pack("<I", len(b)))
-            parts.append(b)
-        parts.append(struct.pack(f"<{self.n_docs}I", *self.doc_lengths))
-        parts.append(struct.pack("<I", len(self.postings)))
-        for term, plist in self.postings.items():
-            tb = term.encode("utf-8")
-            parts.append(struct.pack("<H", len(tb)))
-            parts.append(tb)
-            parts.append(struct.pack("<I", len(plist)))
-            for doc_id, tf in plist:
-                parts.append(struct.pack("<II", doc_id, tf))
-        payload = b"".join(parts)
-        header = {"n_docs": self.n_docs, "avg_doc_length": self.avg_doc_length}
-        write_container(path, _MAGIC, _VERSION, header, payload)
+        doc_bytes = [d.encode("utf-8") for d in self.raw_docs]
+        term_bytes = [t.encode("utf-8") for t in self.postings]
+        sizes = ([len(b) for b in doc_bytes] + [len(b) for b in term_bytes]
+                 + [len(p) for p in self.postings.values()])
+        payload = b"".join([struct.pack("<II", self.n_docs, len(term_bytes)),
+                            np.asarray(sizes, dtype=_U32).tobytes(),
+                            self._postings.tobytes(), *doc_bytes, *term_bytes])
+        write_container(path, _MAGIC, _VERSION, {}, payload)
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
-        header, payload = read_container(path, _MAGIC, _VERSION)
-        off = 0
-        (n_docs,) = struct.unpack_from("<I", payload, off); off += 4
-        raw_docs = []
-        for _ in range(n_docs):
-            (ln,) = struct.unpack_from("<I", payload, off); off += 4
-            raw_docs.append(payload[off:off + ln].decode("utf-8")); off += ln
-        lengths = list(struct.unpack_from(f"<{n_docs}I", payload, off))
-        off += 4 * n_docs
-        (n_terms,) = struct.unpack_from("<I", payload, off); off += 4
-        postings: dict[str, list] = {}
-        for _ in range(n_terms):
-            (tl,) = struct.unpack_from("<H", payload, off); off += 2
-            term = payload[off:off + tl].decode("utf-8"); off += tl
-            (df,) = struct.unpack_from("<I", payload, off); off += 4
-            plist = []
-            for _ in range(df):
-                doc_id, tf = struct.unpack_from("<II", payload, off); off += 8
-                plist.append((doc_id, tf))
-            postings[term] = plist
+        """Read a saved index; a payload that is not one raises IndexError_."""
+        _, payload = read_container(path, _MAGIC, _VERSION)
+
+        def bad(why: str) -> IndexError_:
+            return IndexError_(f"{path}: {why}")
+
+        if len(payload) < 8:
+            raise bad("payload shorter than its counts")
+        n_docs, n_terms = struct.unpack_from("<II", payload)
+        if n_docs == 0:
+            raise bad("corpus is empty")
+        table_end = 8 + 4 * (n_docs + 2 * n_terms)
+        if len(payload) < table_end:
+            raise bad("payload shorter than its size tables")
+        sizes = np.frombuffer(payload, _U32, n_docs + 2 * n_terms, 8).astype(np.int64)
+        text_bytes = sizes[:n_docs + n_terms]
+        df = sizes[n_docs + n_terms:]
+        nnz = int(df.sum())
+        block = len(payload) - table_end - int(text_bytes.sum())
+        if block != 8 * nnz:
+            raise bad(f"postings block is {block} bytes, the term table's "
+                      f"df sum of {nnz} needs {8 * nnz}")
+        if (df == 0).any():
+            raise bad("a term has no postings")
+        flat = np.frombuffer(payload, _U32, 2 * nnz, table_end).reshape(nnz, 2)
+        docs, tf = flat[:, 0].astype(np.int64), flat[:, 1]
+        if (docs >= n_docs).any():
+            raise bad(f"doc id {docs.max()} outside 0..{n_docs - 1}")
+        if (tf == 0).any():
+            raise bad("a posting has tf 0")
+        step = np.diff(docs)
+        step[np.cumsum(df)[:-1] - 1] = 1  # each term starts afresh
+        if (step <= 0).any():
+            raise bad("doc ids do not ascend within a term")
+        cuts = np.cumsum(text_bytes).tolist()
+        text = payload[table_end + 8 * nnz:]
+        try:
+            strings = [text[a:b].decode("utf-8") for a, b in zip([0] + cuts, cuts)]
+        except UnicodeDecodeError:
+            raise bad("doc or term text is not UTF-8") from None
+        raw_docs, terms = strings[:n_docs], strings[n_docs:]
+        if any(a >= b for a, b in zip(terms, terms[1:])):
+            raise bad("terms are not unique and sorted")
         idx = cls.__new__(cls)
         idx.raw_docs = raw_docs
         idx.doc_tokens = [tokenize(d) for d in raw_docs]
-        idx.doc_lengths = lengths
-        idx.n_docs = n_docs
-        idx.avg_doc_length = header["avg_doc_length"]
-        idx.postings = postings
+        if not np.array_equal(np.bincount(docs, weights=tf, minlength=n_docs),
+                              [len(t) for t in idx.doc_tokens]):
+            raise bad("postings disagree with the doc texts' token counts")
+        idx._set_postings(terms, df, flat)
         return idx
 
     def fingerprint(self) -> str:
@@ -161,23 +216,24 @@ class InvertedIndex:
         df = len(self.postings.get(term, ()))
         return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
-    def term_frequency(self, term: str, doc_id: int) -> int:
-        for d, tf in self.postings.get(term, ()):
-            if d == doc_id:
-                return tf
-        return 0
-
     def bm25_score(self, query_terms, doc_id: int) -> float:
-        """Okapi BM25 of one document; absent terms contribute zero."""
+        """Okapi BM25 of one document; absent terms contribute zero.
+
+        Scalar and term by term: the reference search_topk is tested against.
+        """
         if not 0 <= doc_id < self.n_docs:
             raise IndexError_(f"doc id {doc_id} outside 0..{self.n_docs - 1}")
         dl = self.doc_lengths[doc_id]
         norm = K1 * (1.0 - B + B * dl / self.avg_doc_length)
         score = 0.0
         for term in query_terms:
-            tf = self.term_frequency(term, doc_id)
-            if tf == 0:
+            plist = self.postings.get(term)
+            if plist is None:
                 continue
+            i = int(np.searchsorted(plist[:, 0], doc_id))
+            if i == len(plist) or plist[i, 0] != doc_id:
+                continue
+            tf = int(plist[i, 1])
             score += self.idf(term) * tf * (K1 + 1.0) / (tf + norm)
         return score
 
@@ -187,30 +243,32 @@ class InvertedIndex:
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
         """Top-k positive-scoring paragraphs for the event, plus the empty slot.
 
-        Scores accumulate over postings so only candidate documents are
-        touched; ranking is (score desc, doc id asc).
+        Each query term, repeats included, adds its BM25 term into a dense
+        per-doc score array through its postings view, so only candidate docs
+        are touched and every score equals bm25_score's to the bit.  Ranking
+        is (score desc, doc id asc); ties at the k-th rank are cut by doc id.
         """
         if k < 0:
             raise IndexError_(f"k must be >= 0, got {k}")
-        query = self.event_query(event)
-        scores: dict[int, float] = {}
-        for term in query:
+        scores = np.zeros(self.n_docs)
+        for term in self.event_query(event):
             plist = self.postings.get(term)
-            if not plist:
+            if plist is None:
                 continue
-            idf = self.idf(term)
-            for doc_id, tf in plist:
-                dl = self.doc_lengths[doc_id]
-                norm = K1 * (1.0 - B + B * dl / self.avg_doc_length)
-                scores[doc_id] = scores.get(doc_id, 0.0) + (
-                    idf * tf * (K1 + 1.0) / (tf + norm))
-        ranked = sorted(((s, d) for d, s in scores.items() if s > 0.0),
-                        key=lambda p: (-p[0], p[1]))[:k]
+            docs, tf = plist[:, 0], plist[:, 1]
+            scores[docs] += self.idf(term) * tf * (K1 + 1.0) / (tf + self._norm[docs])
+        cand = np.flatnonzero(scores > 0.0)
+        top = scores[cand]
+        if 0 < k < len(cand):
+            # every doc tied with the k-th best survives the cut
+            keep = top >= np.partition(top, len(top) - k)[len(top) - k]
+            cand, top = cand[keep], top[keep]
+        order = np.lexsort((cand, -top))[:k]
         items = [
             EvidenceItem(doc_id=d,
                          tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
                          raw=self.raw_docs[d], score=s)
-            for s, d in ranked
+            for d, s in zip(cand[order].tolist(), top[order].tolist())
         ]
         items.append(_empty_item())
         return EvidenceSet(event=event, items=tuple(items))

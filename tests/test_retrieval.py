@@ -1,11 +1,14 @@
 import math
+import struct
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eviq import retrieval as rt
-from eviq.container import ContainerError
+from eviq.container import ContainerError, write_container
 from eviq.textdata import EMPTY, tokenize
 from eviq.toydata import make_toy_dataset
 
@@ -133,7 +136,8 @@ def test_save_load_round_trip(tmp_path, idx3):
     back = rt.InvertedIndex.load(p)
     assert back.raw_docs == idx3.raw_docs
     assert back.avg_doc_length == idx3.avg_doc_length
-    assert back.postings == idx3.postings
+    assert list(back.postings) == list(idx3.postings) and all(
+        np.array_equal(back.postings[t], idx3.postings[t]) for t in idx3.postings)
     assert back.fingerprint() == idx3.fingerprint()
     q = ["cat", "mat"]
     for d in range(3):
@@ -208,3 +212,134 @@ def test_retrieval_cache_rejects_doc_id_outside_index(tmp_path, idx3, doc_id):
     with pytest.raises(rt.IndexError_) as e:
         rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
     assert cache.path.name in str(e.value) and "line 2" in str(e.value)
+
+
+def _reference_search_topk(index, event, k):
+    # the scorer search_topk replaced: walk every posting of every query
+    # term, accumulate into a dict, sort the positive (score, doc id) pairs
+    scores = {}
+    for term in index.event_query(event):
+        plist = index.postings.get(term)
+        if plist is None:
+            continue
+        idf = index.idf(term)
+        for doc_id, tf in plist.tolist():
+            dl = index.doc_lengths[doc_id]
+            norm = rt.K1 * (1.0 - rt.B + rt.B * dl / index.avg_doc_length)
+            scores[doc_id] = scores.get(doc_id, 0.0) + (
+                idf * tf * (rt.K1 + 1.0) / (tf + norm))
+    ranked = sorted(((s, d) for d, s in scores.items() if s > 0.0),
+                    key=lambda p: (-p[0], p[1]))[:k]
+    return [(d, s.hex(), int, float) for s, d in ranked]
+
+
+def _exact(evidence):
+    return [(it.doc_id, float.hex(it.score), type(it.doc_id), type(it.score))
+            for it in evidence.retrieved]
+
+
+TOPK_CASES = (0, 1, 45, 10**6)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_topk_matches_reference_scorer(tmp_path, seed):
+    make_toy_dataset(seed, 24, 4, tmp_path / "toy")
+    idx = rt.InvertedIndex.build(tmp_path / "toy" / "corpus.txt")
+    from eviq.toydata import load_toy_meta
+    _, events = load_toy_meta(tmp_path / "toy" / "meta.jsonl")
+    queries = [ev["event"] for ev in events]
+    queries += [queries[0] + " " + queries[0],    # every term twice
+                "zzqx " + queries[1], "zzqx",     # unknown term
+                "the and of it", ""]              # nothing left to score
+    # and a dense corpus over eight words: tf up to ~10, lengths 1..40
+    rng = np.random.default_rng(seed)
+    words = ["w%d" % i for i in range(8)]
+    dense = rt.InvertedIndex([" ".join(rng.choice(words, rng.integers(1, 41)))
+                              for _ in range(60)])
+    dense_queries = [" ".join(rng.choice(words, rng.integers(1, 6))) for _ in range(20)]
+    for index, qs in ((idx, queries), (dense, dense_queries)):
+        for q in qs:
+            for k in TOPK_CASES:
+                got = index.search_topk(q, k)
+                assert _exact(got) == _reference_search_topk(index, q, k)
+            query = index.event_query(q)
+            assert all(it.score == index.bm25_score(query, it.doc_id)
+                       for it in got.retrieved)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 12, 13, 14])
+def test_search_topk_keeps_ties_straddling_the_cut(k):
+    # doc 0 scores highest; the twelve copies after it tie, so a cut at k
+    # lands inside the tie and must keep the lowest doc ids
+    docs = ["alpha alpha beta"] + ["alpha beta"] * 12 + ["gamma"]
+    idx = rt.InvertedIndex(docs)
+    want = _reference_search_topk(idx, "alpha beta", k)
+    assert _exact(idx.search_topk("alpha beta", k)) == want
+    assert [d for d, *_ in want] == list(range(min(k, 13)))
+
+
+def _index_payload(docs, terms, df, postings):
+    # a version-2 index payload assembled by hand, field by field
+    doc_b = [d.encode("utf-8") for d in docs]
+    term_b = [t.encode("utf-8") for t in terms]
+    sizes = [len(b) for b in doc_b] + [len(b) for b in term_b] + list(df)
+    return (struct.pack("<II", len(docs), len(terms))
+            + np.asarray(sizes, dtype="<u4").tobytes()
+            + np.asarray(postings, dtype="<u4").reshape(-1, 2).tobytes()
+            + b"".join(doc_b + term_b))
+
+
+LOAD_DOCS = ["cat sat", "cat"]
+CAT_SAT = (["cat", "sat"], [2, 1])        # terms and their df
+LOAD_POSTINGS = [[0, 1], [1, 1], [0, 1]]  # cat: docs 0 and 1; sat: doc 0
+
+
+def test_hand_built_payload_loads_like_the_built_index(tmp_path):
+    p = tmp_path / "hand.evqi"
+    write_container(p, rt._MAGIC, rt._VERSION, {},
+                    _index_payload(LOAD_DOCS, *CAT_SAT, LOAD_POSTINGS))
+    back, built = rt.InvertedIndex.load(p), rt.InvertedIndex(LOAD_DOCS)
+    assert list(back.postings) == list(built.postings) == ["cat", "sat"]
+    for t in built.postings:
+        assert np.array_equal(back.postings[t], built.postings[t])
+    assert _exact(back.search_topk("cat sat", 2)) == _exact(built.search_topk("cat sat", 2))
+
+
+@pytest.mark.parametrize("table, postings, why", [
+    (CAT_SAT, LOAD_POSTINGS[:2], "postings block is 16 bytes"),
+    (CAT_SAT, LOAD_POSTINGS + [[1, 1]], "postings block is 32 bytes"),
+    (CAT_SAT, [[0, 1], [2, 1], [0, 1]], "doc id 2 outside 0..1"),
+    (CAT_SAT, [[0, 1], [1, 0], [0, 1]], "tf 0"),
+    (CAT_SAT, [[1, 1], [0, 1], [0, 1]], "do not ascend"),
+    (CAT_SAT, [[0, 1], [0, 1], [1, 1]], "do not ascend"),
+    (CAT_SAT, [[0, 1], [1, 2], [0, 1]], "token counts"),
+    ((["sat", "cat"], [1, 2]), [[0, 1], [0, 1], [1, 1]], "unique and sorted"),
+    ((["cat", "dog", "sat"], [2, 0, 1]), LOAD_POSTINGS, "no postings"),
+], ids=["short", "long", "doc-id", "tf-zero", "descending", "repeated",
+        "tf-sum", "unsorted-terms", "empty-term"])
+def test_load_rejects_malformed_postings(tmp_path, table, postings, why):
+    p = tmp_path / "bad.evqi"
+    write_container(p, rt._MAGIC, rt._VERSION, {},
+                    _index_payload(LOAD_DOCS, *table, postings))
+    with pytest.raises(rt.IndexError_) as e:
+        rt.InvertedIndex.load(p)
+    assert str(p) in str(e.value) and why in str(e.value)
+
+
+def test_load_rejects_previous_format_version(tmp_path):
+    p = tmp_path / "v1.evqi"
+    write_container(p, rt._MAGIC, 1, {}, b"")
+    with pytest.raises(ContainerError) as e:
+        rt.InvertedIndex.load(p)
+    assert "version 1" in str(e.value) and f"reads {rt._VERSION}" in str(e.value)
+
+
+def test_corpus_without_tokens_builds_and_searches(tmp_path):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        idx = rt.InvertedIndex(["   ", "\t"])
+        idx.save(tmp_path / "blank.evqi")
+        for index in (idx, rt.InvertedIndex.load(tmp_path / "blank.evqi")):
+            assert index.postings == {}
+            ev = index.search_topk("anything at all", k=3)
+            assert len(ev.items) == 1 and ev.items[0].is_empty
