@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from eviq.autodiff import (
     squared_norm, sub, tape,
 )
 from eviq.optim import AdamState, adam_step, clear_grads
+import eviq
 from eviq import transformer as tf
 
 from fdcheck import check_grads
@@ -338,3 +343,30 @@ def test_memorization_capacity():
         if final < 0.05:
             break
     assert final < 0.05, f"mean NLL {final} after {step + 1} steps"
+
+
+# Three 4 MiB blocks alive at once, then freed, twenty times over: the shape
+# of a packed forward's temporaries.  Adaptive glibc thresholds trim them off
+# the heap top and fault them in again each round (~20,000 faults).
+_HEAP_CHURN = """
+import resource, numpy as np, eviq
+def churn():
+    blocks = [np.ones(1 << 19) for _ in range(3)]
+    del blocks
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "confstr")
+                    or not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"),
+                    reason="malloc thresholds are set on glibc only")
+def test_freed_temporaries_stay_on_the_heap():
+    src = str(Path(eviq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _HEAP_CHURN], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 1000, f"{out.strip()} page faults over 20 rounds"
