@@ -2,9 +2,11 @@
 
 Everything downstream (encoders, losses, the quantisation machinery) is built
 from the operations in this module.  A Tensor is a thin wrapper around a
-contiguous float64 numpy array.  Operations record backward closures onto the
-active tape; with no tape active they are plain numpy arithmetic, so
-inference-time code pays for the forward pass only.
+contiguous float64 numpy array.  Each operation computes its output array,
+defines a backward closure, and hands both to custom_op, the one place that
+consults the active tape: with a tape active the closure is recorded, with
+none the output is returned as plain numpy arithmetic, so inference-time code
+pays for the forward pass only.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ class DegenerateBatchError(ValueError):
 class Tensor:
     """float64 array plus a gradient slot. grad is filled during backward."""
 
-    __slots__ = ("data", "grad", "tape_id")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         a = np.asarray(data, dtype=np.float64)
         self.data = a
         self.grad = None
-        self.tape_id = None
 
     @property
     def shape(self):
@@ -58,10 +59,10 @@ def constant(data) -> Tensor:
 class GradTape:
     """Ordered record of operations for one forward pass.
 
-    Nodes are appended in execution order, so reversed order is a valid
-    topological order and backward visits each node exactly once.  A tape is
-    frozen after backward; recording onto or replaying a frozen tape is an
-    error.
+    Nodes are (output, backward closure) pairs appended in execution order,
+    so reversed order is a valid topological order and backward visits each
+    node exactly once.  A tape is frozen after backward; recording onto or
+    replaying a frozen tape is an error.
     """
 
     __slots__ = ("nodes", "frozen")
@@ -70,11 +71,10 @@ class GradTape:
         self.nodes = []
         self.frozen = False
 
-    def record(self, out: Tensor, parents: tuple, backward_fn) -> None:
+    def record(self, out: Tensor, backward_fn) -> None:
         if self.frozen:
             raise RuntimeError("cannot record onto a frozen tape")
-        out.tape_id = len(self.nodes)
-        self.nodes.append((out, parents, backward_fn))
+        self.nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         if self.frozen:
@@ -83,7 +83,7 @@ class GradTape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self.frozen = True
         loss.grad = np.asarray(1.0, dtype=np.float64)
-        for out, _parents, fn in reversed(self.nodes):
+        for out, fn in reversed(self.nodes):
             g = out.grad
             if g is None:
                 continue
@@ -133,48 +133,48 @@ def _acc_new(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def custom_op(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    """Escape hatch for modules that define their own fused node.
+def custom_op(out_data: np.ndarray, backward_fn) -> Tensor:
+    """Wrap an op's output and record its backward on the active tape.
 
-    backward_fn receives the upstream gradient and must accumulate into the
-    parents itself via accumulate()/accumulate_new().
+    Every differentiable op, here and in other modules, ends by returning
+    custom_op(output array, backward closure); nothing else reads the tape.
+    backward_fn receives the upstream gradient and accumulates into the op's
+    inputs itself, via accumulate_new() for freshly allocated arrays.
     """
     out = Tensor(out_data)
     t = _active()
     if t is not None:
-        t.record(out, parents, backward_fn)
+        t.record(out, backward_fn)
     return out
 
 
-# public names for custom_op implementors
-accumulate = _acc
+# public name for custom_op implementors
 accumulate_new = _acc_new
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
+    """a + b, with b either a's shape or one (1, d) row added to every row."""
+    row = a.data.ndim == 2 and b.data.shape == (1, a.data.shape[1])
+    if a.data.shape != b.data.shape and not row:
         raise ShapeError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data + b.data)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc(a, g)
+
+    def back(g):
+        _acc(a, g)
+        if row:
+            _acc_new(b, g.sum(axis=0, keepdims=True))
+        else:
             _acc(b, g)
-        t.record(out, (a, b), back)
-    return out
+    return custom_op(a.data + b.data, back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub shapes differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data - b.data)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc(a, g)
-            _acc_new(b, -g)
-        t.record(out, (a, b), back)
-    return out
+
+    def back(g):
+        _acc(a, g)
+        _acc_new(b, -g)
+    return custom_op(a.data - b.data, back)
 
 
 def add_n(ts: list[Tensor]) -> Tensor:
@@ -188,66 +188,40 @@ def add_n(ts: list[Tensor]) -> Tensor:
     acc = ts[0].data.copy()
     for x in ts[1:]:
         acc += x.data
-    out = Tensor(acc)
-    t = _active()
-    if t is not None:
-        def back(g):
-            for x in ts:
-                _acc(x, g)
-        t.record(out, tuple(ts), back)
-    return out
+
+    def back(g):
+        for x in ts:
+            _acc(x, g)
+    return custom_op(acc, back)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.data * c)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc_new(a, g * c)
-        t.record(out, (a,), back)
-    return out
 
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """a: (T, d), v: (1, d) broadcast over rows."""
-    if a.data.ndim != 2 or v.data.shape != (1, a.data.shape[1]):
-        raise ShapeError(f"add_rowvec shapes: {a.data.shape} + {v.data.shape}")
-    out = Tensor(a.data + v.data)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc(a, g)
-            _acc_new(v, g.sum(axis=0, keepdims=True))
-        t.record(out, (a, v), back)
-    return out
+    def back(g):
+        _acc_new(a, g * c)
+    return custom_op(a.data * c, back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc_new(a, g @ b.data.T)
-            _acc_new(b, a.data.T @ g)
-        t.record(out, (a, b), back)
-    return out
+
+    def back(g):
+        _acc_new(a, g @ b.data.T)
+        _acc_new(b, a.data.T @ g)
+    return custom_op(a.data @ b.data, back)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T without materialising the transpose (tied output projections)."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(f"matmul_nt shapes incompatible: {a.data.shape} @ {b.data.shape}.T")
-    out = Tensor(a.data @ b.data.T)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc_new(a, g @ b.data)
-            _acc_new(b, g.T @ a.data)
-        t.record(out, (a, b), back)
-    return out
+
+    def back(g):
+        _acc_new(a, g @ b.data)
+        _acc_new(b, g.T @ a.data)
+    return custom_op(a.data @ b.data.T, back)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -256,15 +230,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine shapes incompatible: {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (1, w.data.shape[1]):
         raise ShapeError(f"affine bias shape {b.data.shape}, want (1, {w.data.shape[1]})")
-    out = Tensor(x.data @ w.data + b.data)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc_new(x, g @ w.data.T)
-            _acc_new(w, x.data.T @ g)
-            _acc_new(b, g.sum(axis=0, keepdims=True))
-        t.record(out, (x, w, b), back)
-    return out
+
+    def back(g):
+        _acc_new(x, g @ w.data.T)
+        _acc_new(w, x.data.T @ g)
+        _acc_new(b, g.sum(axis=0, keepdims=True))
+    return custom_op(x.data @ w.data + b.data, back)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -277,15 +248,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"gather_rows index out of range for {n} rows")
-    out = Tensor(a.data[idx])
-    t = _active()
-    if t is not None:
-        def back(g):
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _acc_new(a, buf)
-        t.record(out, (a,), back)
-    return out
+
+    def back(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        _acc_new(a, buf)
+    return custom_op(a.data[idx], back)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -295,14 +263,11 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-    t = _active()
-    if t is not None:
-        def back(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            _acc_new(x, s * (g - dot))
-        t.record(out, (x,), back)
-    return out
+
+    def back(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        _acc_new(x, s * (g - dot))
+    return custom_op(s, back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -317,20 +282,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    t = _active()
-    if t is not None:
-        def back(g):
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _acc_new(x, inv * (dxhat - m1 - xhat * m2))
-            _acc_new(gain, (g * xhat).sum(axis=0, keepdims=True)
-                     if g.ndim == 2 else (g * xhat).reshape(1, d))
-            _acc_new(bias, g.sum(axis=0, keepdims=True)
-                     if g.ndim == 2 else g.reshape(1, d))
-        t.record(out, (x, gain, bias), back)
-    return out
+
+    def back(g):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        _acc_new(x, inv * (dxhat - m1 - xhat * m2))
+        _acc_new(gain, (g * xhat).sum(axis=0, keepdims=True)
+                 if g.ndim == 2 else (g * xhat).reshape(1, d))
+        _acc_new(bias, g.sum(axis=0, keepdims=True)
+                 if g.ndim == 2 else g.reshape(1, d))
+    return custom_op(xhat * gain.data + bias.data, back)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -340,14 +302,11 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact gaussian-error-linear unit, x * Phi(x)."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = Tensor(x.data * cdf)
-    t = _active()
-    if t is not None:
-        def back(g):
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            _acc_new(x, g * (cdf + x.data * pdf))
-        t.record(out, (x,), back)
-    return out
+
+    def back(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+        _acc_new(x, g * (cdf + x.data * pdf))
+    return custom_op(x.data * cdf, back)
 
 
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
@@ -379,28 +338,21 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
     picked = logits.data[np.arange(tn), tgt]
     loss = -float(((picked - lse) * msk).sum() / n_scored)
-    out = Tensor(loss)
-    t = _active()
-    if t is not None:
-        def back(g):
-            p = np.exp(z)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(tn), tgt] -= 1.0
-            p *= (msk * (float(g) / n_scored))[:, None]
-            _acc_new(logits, p)
-        t.record(out, (logits,), back)
-    return out
+
+    def back(g):
+        p = np.exp(z)
+        p /= p.sum(axis=-1, keepdims=True)
+        p[np.arange(tn), tgt] -= 1.0
+        p *= (msk * (float(g) / n_scored))[:, None]
+        _acc_new(logits, p)
+    return custom_op(loss, back)
 
 
 def squared_norm(x: Tensor) -> Tensor:
     """Sum of squared entries, as a scalar tensor."""
-    out = Tensor(float((x.data * x.data).sum()))
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc_new(x, (2.0 * float(g)) * x.data)
-        t.record(out, (x,), back)
-    return out
+    def back(g):
+        _acc_new(x, (2.0 * float(g)) * x.data)
+    return custom_op(float((x.data * x.data).sum()), back)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -410,13 +362,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= p).astype(np.float64) / (1.0 - p)
-    out = Tensor(x.data * keep)
-    t = _active()
-    if t is not None:
-        def back(g):
-            _acc_new(x, g * keep)
-        t.record(out, (x,), back)
-    return out
+
+    def back(g):
+        _acc_new(x, g * keep)
+    return custom_op(x.data * keep, back)
 
 
 NEG_INF = -1e30  # additive mask value; underflows to exact zero after softmax
@@ -486,25 +435,6 @@ def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
     return w @ vh, w
 
 
-def _mha_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-                 lengths, causal: bool):
-    """Shared multi-head attention forward over packed segments.
-
-    q, k, v: (sum T, d) after projection; lengths None means one segment.
-    Returns the packed output plus the padded probabilities w, the padded
-    heads qh, kh, vh and the padded-row index, kept for backward.
-    """
-    tn, d = q.shape
-    lengths = (tn,) if lengths is None else tuple(int(n) for n in lengths)
-    if not lengths or min(lengths) < 1 or sum(lengths) != tn:
-        raise ShapeError(f"segment lengths {lengths} do not split {tn} rows")
-    shape = (len(lengths), n_heads, max(lengths), d // n_heads)
-    rows = _padded_rows(lengths)
-    qh, kh, vh = (_to_heads(x, shape, rows) for x in (q, k, v))
-    out, w = _attend(qh, kh, vh, _attention_mask(lengths, causal))
-    return _from_heads(out, rows), w, qh, kh, vh, rows
-
-
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                         lengths=None, causal: bool = False) -> Tensor:
     """Scaled dot-product attention over n_heads splits of the width.
@@ -519,34 +449,26 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          f"{k.data.shape} {v.data.shape}")
     if d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible by {n_heads} heads")
-    outd, w, qh, kh, vh, rows = _mha_forward(q.data, k.data, v.data, n_heads,
-                                             lengths, causal)
-    out = Tensor(outd)
-    t = _active()
-    if t is not None:
-        s = 1.0 / math.sqrt(d // n_heads)
-        def back(g):
-            gh = _to_heads(g, qh.shape, rows)
-            dw = gh @ vh.transpose(0, 1, 3, 2)
-            dvh = w.transpose(0, 1, 3, 2) @ gh
-            da = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
-            dqh = (da @ kh) * s
-            dkh = (da.transpose(0, 1, 3, 2) @ qh) * s
-            _acc_new(q, _from_heads(dqh, rows))
-            _acc_new(k, _from_heads(dkh, rows))
-            _acc_new(v, _from_heads(dvh, rows))
-        t.record(out, (q, k, v), back)
-    return out
+    lengths = (tn,) if lengths is None else tuple(int(n) for n in lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != tn:
+        raise ShapeError(f"segment lengths {lengths} do not split {tn} rows")
+    shape = (len(lengths), n_heads, max(lengths), d // n_heads)
+    rows = _padded_rows(lengths)
+    qh, kh, vh = (_to_heads(x.data, shape, rows) for x in (q, k, v))
+    outh, w = _attend(qh, kh, vh, _attention_mask(lengths, causal))
+    s = 1.0 / math.sqrt(d // n_heads)
 
-
-def attention_probs(q: np.ndarray, k: np.ndarray, n_heads: int,
-                    lengths=None, causal: bool = False) -> np.ndarray:
-    """Attention weights via the same code as the op: (H, T, T) for one
-    segment, (B, H, Tmax, Tmax) zero on padding columns for several.
-    """
-    _, w, _, _, _, _ = _mha_forward(q, k, np.zeros_like(q), n_heads,
-                                    lengths, causal)
-    return w[0] if w.shape[0] == 1 else w
+    def back(g):
+        gh = _to_heads(g, qh.shape, rows)
+        dw = gh @ vh.transpose(0, 1, 3, 2)
+        dvh = w.transpose(0, 1, 3, 2) @ gh
+        da = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+        dqh = (da @ kh) * s
+        dkh = (da.transpose(0, 1, 3, 2) @ qh) * s
+        _acc_new(q, _from_heads(dqh, rows))
+        _acc_new(k, _from_heads(dkh, rows))
+        _acc_new(v, _from_heads(dvh, rows))
+    return custom_op(_from_heads(outh, rows), back)
 
 
 def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,

@@ -57,10 +57,8 @@ class AssembledInput:
 
 def _check_segments(config: TransformerConfig, evidence_ids, event_ids,
                     target_ids) -> None:
-    for name, cap, seq in (
-            (_SEGMENT_CAPS[0][0], _SEGMENT_CAPS[0][1], evidence_ids),
-            (_SEGMENT_CAPS[1][0], _SEGMENT_CAPS[1][1], event_ids),
-            (_SEGMENT_CAPS[2][0], _SEGMENT_CAPS[2][1], target_ids)):
+    for (name, cap), seq in zip(_SEGMENT_CAPS,
+                                (evidence_ids, event_ids, target_ids)):
         if len(seq) > cap:
             raise ShapeError(
                 f"{name} segment has {len(seq)} tokens, cap {cap}")

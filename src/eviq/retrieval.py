@@ -74,10 +74,6 @@ class EvidenceSet:
         return self.items[:-1]
 
 
-def _empty_item() -> EvidenceItem:
-    return EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), raw="", score=0.0)
-
-
 class InvertedIndex:
     """Immutable BM25 index: doc store, postings, lengths, average length.
 
@@ -240,6 +236,20 @@ class InvertedIndex:
     def event_query(self, event: str) -> list[str]:
         return [t for t in tokenize(event) if t not in STOPWORDS]
 
+    def evidence_set(self, event: str, hits) -> EvidenceSet:
+        """The event's (doc id, score) hits as items, empty placeholder last.
+
+        Each item carries its doc's tokens cut to MAX_EVIDENCE_TOKENS and
+        its raw text.
+        """
+        items = [EvidenceItem(doc_id=d,
+                              tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
+                              raw=self.raw_docs[d], score=s)
+                 for d, s in hits]
+        items.append(EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,),
+                                  raw="", score=0.0))
+        return EvidenceSet(event=event, items=tuple(items))
+
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
         """Top-k positive-scoring paragraphs for the event, plus the empty slot.
 
@@ -264,14 +274,8 @@ class InvertedIndex:
             keep = top >= np.partition(top, len(top) - k)[len(top) - k]
             cand, top = cand[keep], top[keep]
         order = np.lexsort((cand, -top))[:k]
-        items = [
-            EvidenceItem(doc_id=d,
-                         tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
-                         raw=self.raw_docs[d], score=s)
-            for d, s in zip(cand[order].tolist(), top[order].tolist())
-        ]
-        items.append(_empty_item())
-        return EvidenceSet(event=event, items=tuple(items))
+        return self.evidence_set(
+            event, zip(cand[order].tolist(), top[order].tolist()))
 
 
 class RetrievalCache:
@@ -319,12 +323,7 @@ class RetrievalCache:
                 if not (isinstance(d, int) and 0 <= d < n_docs):
                     raise IndexError_(f"{self.path} line {n}: doc id {d!r} "
                                       f"outside 0..{n_docs - 1}")
-            items = [EvidenceItem(doc_id=d,
-                                  tokens=tuple(self.index.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
-                                  raw=self.index.raw_docs[d], score=s)
-                     for d, s in hits]
-            items.append(_empty_item())
-            self._memo[event] = EvidenceSet(event=event, items=tuple(items))
+            self._memo[event] = self.index.evidence_set(event, hits)
 
     def get(self, event: str) -> EvidenceSet:
         hit = self._memo.get(event)

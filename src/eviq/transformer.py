@@ -26,9 +26,7 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    add_rowvec,
     affine,
-    attention_probs,
     dropout,
     gather_rows,
     gelu,
@@ -89,13 +87,6 @@ def init_params(config: TransformerConfig, vocab_size: int,
     return p
 
 
-def _add_latent(t: Tensor, z: Tensor) -> Tensor:
-    # z is either one row broadcast over all positions, or one row per position
-    if z.shape[0] == 1:
-        return add_rowvec(t, z)
-    return add(t, z)
-
-
 def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
     """Layer i's query, key and value rows, each shifted by z when given."""
     pre = f"layers.{i}.attn."
@@ -103,7 +94,7 @@ def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
     k = affine(h, params[pre + "wk"], params[pre + "bk"])
     v = affine(h, params[pre + "wv"], params[pre + "bv"])
     if z is not None:
-        q, k, v = (_add_latent(t, z) for t in (q, k, v))
+        q, k, v = (add(t, z) for t in (q, k, v))
     return q, k, v
 
 
@@ -186,8 +177,8 @@ def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
 
 def _forward(params: dict, config: TransformerConfig, seqs,
              z: Tensor | None = None, train: bool = False, rng=None,
-             depth: int | None = None, cache: KVCache | None = None) -> Tensor:
-    """Packed rows of the id sequences after depth layers (default all).
+             cache: KVCache | None = None) -> Tensor:
+    """Packed rows of the id sequences after the last layer.
 
     Positions restart at zero inside each sequence, or continue after the
     rows a cache holds.  z, when given, holds one latent row for all rows or
@@ -211,11 +202,11 @@ def _forward(params: dict, config: TransformerConfig, seqs,
     h = add(gather_rows(params["tok_emb"], ids),
             gather_rows(params["pos_emb"], positions))
     if z is not None:
-        h = _add_latent(h, z)
+        h = add(h, z)
     p = config.dropout if train else 0.0
     if p > 0.0:
         h = dropout(h, p, rng)
-    for i in range(config.n_layers if depth is None else depth):
+    for i in range(config.n_layers):
         h = _block(params, config, i, h, lengths, z, p, rng, cache)
     return h
 
@@ -274,7 +265,7 @@ def batch_decoder_forward(params: dict, config: TransformerConfig, seqs,
         raise ValueError("decoder forward needs a causal config")
     h = _forward(params, config, seqs, z_rows, train, rng)
     if z_rows is not None:
-        h = _add_latent(h, z_rows)
+        h = add(h, z_rows)
     return matmul_nt(h, params["tok_emb"])
 
 
@@ -293,14 +284,3 @@ def cached_next_logits(params: dict, config: TransformerConfig, seqs,
         last = np.cumsum([len(s) for s in seqs]) - 1
         return matmul_nt(gather_rows(h, last), params["tok_emb"]).data
 
-
-def attention_weight_matrix(params: dict, config: TransformerConfig,
-                            token_ids, layer: int = 0) -> np.ndarray:
-    """Softmax attention weights (H, T, T) of one layer, for mask inspection."""
-    if not 0 <= layer < config.n_layers:
-        raise ValueError(f"layer {layer} outside 0..{config.n_layers - 1}")
-    with no_tape():
-        h = _forward(params, config, [token_ids], depth=layer)
-        q, k, _ = _qkv(params, layer, h, None)
-    return attention_probs(q.data, k.data, config.n_heads,
-                           causal=config.causal)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    NumericError,
     ShapeError,
     Tensor,
     accumulate_new,
@@ -132,14 +133,19 @@ def kl_divergence(target: np.ndarray, model: Tensor) -> Tensor:
     """Sum of target * ln(target / model), with 0 * ln 0 = 0.
 
     target is a fixed probability vector; gradient flows into model only.
+    Only codes the target holds must have positive model mass: a softmax
+    entry that underflowed to 0 where the target is 0 adds nothing.
     """
     p = np.asarray(target, dtype=np.float64).reshape(-1)
     q = model.data.reshape(-1)
     if p.shape != q.shape:
         raise ShapeError(f"distribution sizes differ: {p.shape} vs {q.shape}")
-    if np.any(q <= 0.0):
-        raise ValueError("model distribution has a non-positive entry")
     live = p > 0.0
+    bad = np.flatnonzero(live & (q <= 0.0))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericError(f"model gives code {j} probability {q[j]} where "
+                           f"the target gives {p[j]}: KL is infinite")
     val = float(np.sum(p[live] * np.log(p[live] / q[live])))
 
     def back(g):
@@ -148,7 +154,7 @@ def kl_divergence(target: np.ndarray, model: Tensor) -> Tensor:
         d[live] = -p[live] / q[live]
         accumulate_new(model, d.reshape(model.shape) * gs)
 
-    return custom_op(np.array(val), (model,), back)
+    return custom_op(np.array(val), back)
 
 
 def sample_code(probs, rng: np.random.Generator) -> int:

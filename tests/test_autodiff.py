@@ -84,15 +84,34 @@ def test_cross_entropy_bad_target_raises():
 
 
 def test_causal_mask_attention_weights_exactly_zero():
+    # A future key or value with any nonzero weight would get a nonzero
+    # gradient from a loss on an earlier output row.
     rng = _rng(3)
     tn, d, heads = 5, 8, 2
-    q = rng.normal(size=(tn, d))
-    k = rng.normal(size=(tn, d))
-    w = ad.attention_probs(q, k, heads, causal=True)
-    for h in range(heads):
-        upper = np.triu(w[h], k=1)
-        assert np.all(upper == 0.0)
-        assert np.all(np.abs(w[h].sum(axis=-1) - 1.0) <= 1e-12)
+    q0, k0, v0 = (rng.normal(size=(tn, d)) for _ in range(3))
+    for i in range(tn):
+        q, k, v = ad.Tensor(q0), ad.Tensor(k0), ad.Tensor(v0)
+        with ad.tape() as t:
+            out = ad.multihead_attention(q, k, v, heads, causal=True)
+            loss = ad.squared_norm(ad.gather_rows(out, [i]))
+        t.backward(loss)
+        assert np.all(k.grad[i + 1:] == 0.0)
+        assert np.all(v.grad[i + 1:] == 0.0)
+        assert np.all(np.any(v.grad[:i + 1] != 0.0, axis=1))
+    # softmax rows sum to one: attending over all-ones values gives ones
+    ones = ad.multihead_attention(ad.Tensor(q0), ad.Tensor(k0),
+                                  ad.Tensor(np.ones((tn, d))), heads,
+                                  causal=True).data
+    assert np.all(np.abs(ones - 1.0) <= 1e-12)
+
+
+def test_add_broadcasts_one_row_and_rejects_other_shapes():
+    a = _rng(11).normal(size=(4, 3))
+    v = _rng(12).normal(size=(1, 3))
+    assert np.array_equal(ad.add(ad.Tensor(a), ad.Tensor(v)).data, a + v)
+    for bad in ((3, 3), (1, 4), (4, 1)):
+        with pytest.raises(ad.ShapeError):
+            ad.add(ad.Tensor(a), ad.Tensor(np.zeros(bad)))
 
 
 # --- stop-gradient semantics ----------------------------------------------
@@ -120,7 +139,7 @@ def _scalarize(out, const):
 
 
 @pytest.mark.parametrize("op", [
-    "add", "sub", "add_n", "scale", "add_rowvec", "matmul", "matmul_nt",
+    "add", "sub", "add_n", "scale", "add_row_broadcast", "matmul", "matmul_nt",
     "affine", "gather_rows", "softmax", "layer_norm", "gelu", "squared_norm",
     "cross_entropy", "attention", "attention_causal", "attention_segments",
     "attention_segments_causal",
@@ -145,13 +164,13 @@ def test_primitive_gradients_match_finite_differences(op):
             with ad.tape() as t:
                 loss = _scalarize(ad.scale(params["a"], -1.7), tgt)
             return t, loss
-    elif op == "add_rowvec":
+    elif op == "add_row_broadcast":
         params = {"a": ad.Tensor(rng.normal(size=(5, 3))),
                   "v": ad.Tensor(rng.normal(size=(1, 3)))}
         tgt = rng.normal(size=(5, 3))
         def build():
             with ad.tape() as t:
-                loss = _scalarize(ad.add_rowvec(params["a"], params["v"]), tgt)
+                loss = _scalarize(ad.add(params["a"], params["v"]), tgt)
             return t, loss
     elif op in ("matmul", "matmul_nt", "affine"):
         params = {"x": ad.Tensor(rng.normal(size=(4, 3))),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from eviq.autodiff import (
-    ShapeError, Tensor, affine, constant, cross_entropy, softmax_lastdim,
-    squared_norm, sub, tape,
+    NumericError, ShapeError, Tensor, affine, constant, cross_entropy,
+    softmax_lastdim, squared_norm, sub, tape,
 )
 from eviq import vqvae as vq
 from eviq import transformer as tf
@@ -291,8 +291,22 @@ def test_kl_nonnegative_over_random_pairs():
 
 
 def test_kl_rejects_nonpositive_model_entry():
-    with pytest.raises(ValueError):
-        vq.kl_divergence(np.array([1.0, 0.0]), Tensor(np.array([[1.0, 0.0]])))
+    with pytest.raises(NumericError, match="code 1"):
+        vq.kl_divergence(np.array([0.0, 1.0]), Tensor(np.array([[1.0, 0.0]])))
+
+
+def test_kl_ignores_underflowed_codes_the_target_does_not_hold():
+    logits = Tensor(np.array([[0.0, -800.0, 1.0]]))
+    target = np.array([0.5, 0.0, 0.5])
+    with tape() as t:
+        q = softmax_lastdim(logits)
+        kl = vq.kl_divergence(target, q)
+    assert q.data[0, 1] == 0.0
+    live = [0, 2]
+    want = np.sum(target[live] * np.log(target[live] / q.data[0, live]))
+    assert kl.item() == want
+    t.backward(kl)
+    assert np.isfinite(logits.grad).all()
 
 
 def test_kl_gradient_through_softmax():
