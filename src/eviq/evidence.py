@@ -6,11 +6,25 @@ context vector; generation conditions on that paragraph alone.  During
 stage-3 training the chosen paragraph is scored against a random counter
 paragraph, and the resulting +/-1 reward decides whether the chosen context
 vector is pulled toward or pushed away from the code row.
+
+A context vector depends only on the encoder weights and the paragraph's own
+encoder input, never on the event, so encode_evidence keeps one table of
+pooled vectors shared by every call in the process.  Its key is an item's
+encoder input ids (``ids.tobytes()``), which are the whole input of the
+forward: the same key means the same vector under any index or vocabulary.
+The table holds rows for one set of weights only.  It keeps a private copy
+of the params arrays and the config it was filled under, and on every call
+compares them bit for bit with the caller's (same names, dtypes and shapes,
+equal int64 views); on any difference, such as an in-place optimizer step,
+another params dict or another config, it drops every row and copies the new
+weights.  Its size is therefore bounded by the distinct paragraphs encoded
+under one set of weights: at most (docs + 1) * d_model * 8 bytes, plus one
+copy of the weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +47,11 @@ from .transformer import (TransformerConfig, batch_encoder_forward,
 class ContextVectors:
     """Pooled context vectors for one evidence set, one row per item.
 
-    vectors holds plain values (no tape); token_ids keeps the encoder inputs
-    so any single item can be re-encoded under a tape when its gradient is
-    needed.  The final row always belongs to the empty placeholder.
+    vectors holds plain values (no tape), copied out of the process-wide
+    table keyed by each item's token_ids, so writing into it never reaches
+    the table.  token_ids keeps the encoder inputs so any single item can be
+    re-encoded under a tape when its gradient is needed.  The final row
+    always belongs to the empty placeholder.
     """
     vectors: np.ndarray          # (n_items, d_model)
     token_ids: list
@@ -53,14 +69,50 @@ def evidence_token_ids(vocab: Vocab, evidence: EvidenceSet) -> list:
             for item in evidence.items]
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@dataclass
+class _Table:
+    """Pooled vectors by encoder input bytes, valid for one weight snapshot."""
+    config: TransformerConfig | None = None
+    weights: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
+
+    def sync(self, params: dict, config: TransformerConfig) -> None:
+        """Drop every row unless params and config match the snapshot bitwise."""
+        if (config == self.config and params.keys() == self.weights.keys()
+                and all(_same_bits(p.data, self.weights[name])
+                        for name, p in params.items())):
+            return
+        self.config = config
+        self.weights = {name: p.data.copy() for name, p in params.items()}
+        self.rows = {}
+
+
+_TABLE = _Table()
+
+
 def encode_evidence(params: dict, config: TransformerConfig,
                     evidence: EvidenceSet, vocab: Vocab) -> ContextVectors:
-    """Encode every item in one pass without recording gradients."""
+    """Context vectors for every item, encoding only paragraphs not yet seen.
+
+    Items missing from the table under these exact weights are encoded in
+    one batched pass without recording gradients, each distinct input once.
+    """
     ids = evidence_token_ids(vocab, evidence)
-    with no_tape():
-        rows = batch_encoder_forward(params, config, ids,
-                                     cls_id=vocab.cls_id).data
-    return ContextVectors(vectors=rows, token_ids=ids, evidence=evidence)
+    keys = [s.tobytes() for s in ids]
+    _TABLE.sync(params, config)
+    missing = {k: s for k, s in zip(keys, ids) if k not in _TABLE.rows}
+    if missing:
+        with no_tape():
+            out = batch_encoder_forward(params, config, list(missing.values()),
+                                        cls_id=vocab.cls_id).data
+        _TABLE.rows.update(zip(missing, out))
+    return ContextVectors(vectors=np.stack([_TABLE.rows[k] for k in keys]),
+                          token_ids=ids, evidence=evidence)
 
 
 def encode_item(params: dict, config: TransformerConfig,

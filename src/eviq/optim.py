@@ -45,11 +45,17 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 5e-5,
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
+        # lr * (m / c1) / (sqrt(v / c2) + eps), operation for operation,
+        # written into two scratch buffers instead of a fresh array per operation.
+        step = np.empty_like(m)
+        den = np.empty_like(v)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=step)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        v += np.multiply(1.0 - b2, np.multiply(g, g, out=den), out=den)
+        np.multiply(lr, np.divide(m, c1, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, c2, out=den), out=den), eps, out=den)
+        p.data -= np.divide(step, den, out=step)
 
 
 def clear_grads(params: dict[str, Tensor]) -> None:

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from eviq.autodiff import ShapeError, Tensor, squared_norm, sub, constant, tape
+from eviq.autodiff import ShapeError, Tensor, no_tape, squared_norm, sub, constant, tape
 from eviq import evidence as ev
+from eviq import textdata as td
 from eviq import transformer as tf
 from eviq import vqvae as vq
 from eviq.retrieval import InvertedIndex
 from eviq.textdata import EMPTY, Vocab
+from eviq.toydata import make_toy_dataset
 
 from fdcheck import check_grads
 
@@ -182,3 +186,113 @@ def test_encode_item_matches_bulk_row(setup):
     for i in range(len(ctx.token_ids)):
         h = ev.encode_item(params, cfg, ctx, i)
         assert np.array_equal(h.data[0], ctx.vectors[i])
+
+
+# --- the per-paragraph table ------------------------------------------------
+
+def _per_set(params, cfg, token_ids, vocab):
+    """The reference: every item of one set encoded in one fresh pass."""
+    with no_tape():
+        return tf.batch_encoder_forward(params, cfg, token_ids,
+                                        cls_id=vocab.cls_id).data
+
+
+@pytest.fixture()
+def forwards(monkeypatch):
+    """An empty table, and the id sequences of every encoder pass it runs."""
+    monkeypatch.setattr(ev, "_TABLE", ev._Table())
+    calls = []
+    real = ev.batch_encoder_forward
+
+    def counted(params, config, seqs, **kw):
+        calls.append([s.tolist() for s in seqs])
+        return real(params, config, seqs, **kw)
+
+    monkeypatch.setattr(ev, "batch_encoder_forward", counted)
+    return calls
+
+
+def test_table_encodes_each_new_paragraph_once(setup, forwards):
+    idx, _, vocab, cfg, params, _ = setup
+    first = idx.search_topk("bird", k=1)
+    ctx = ev.encode_evidence(params, cfg, first, vocab)
+    assert forwards == [[s.tolist() for s in ctx.token_ids]]
+    again = ev.encode_evidence(params, cfg, first, vocab)
+    assert len(forwards) == 1
+    assert np.array_equal(again.vectors, ctx.vectors)
+
+    second = idx.search_topk("cat mat bird dog", k=4)
+    ctx2 = ev.encode_evidence(params, cfg, second, vocab)
+    seen = {tuple(s) for s in forwards[0]}
+    new = []
+    for s in ctx2.token_ids:
+        if tuple(s) not in seen and s.tolist() not in new:
+            new.append(s.tolist())
+    assert len(forwards) == 2 and forwards[1] == new
+    # one shared paragraph, one shared placeholder, two copies of one text
+    assert len(ctx2.token_ids) == 5 and len(new) == 2
+    assert np.abs(ctx2.vectors - _per_set(params, cfg, ctx2.token_ids, vocab)).max() <= 1e-12
+
+
+def _poke_in_place(params, cfg):
+    params["pos_emb"].data[0, 0] += 1e-3
+    return params, cfg
+
+
+def _swap_params(params, cfg):
+    return tf.init_params(cfg, params["tok_emb"].data.shape[0],
+                          np.random.default_rng(31)), cfg
+
+
+def _other_heads(params, cfg):
+    # same weight shapes, different forward
+    return params, replace(cfg, n_heads=4)
+
+
+@pytest.mark.parametrize("change", [_poke_in_place, _swap_params, _other_heads],
+                         ids=["in_place_edit", "other_params", "other_config"])
+def test_table_drops_rows_when_weights_or_config_change(setup, forwards, change):
+    _, evidence, vocab, cfg, params, _ = setup
+    stale = ev.encode_evidence(params, cfg, evidence, vocab).vectors
+    params, cfg = change(params, cfg)
+    got = ev.encode_evidence(params, cfg, evidence, vocab)
+    assert len(forwards) == 2
+    assert np.abs(got.vectors - stale).max() > 1e-6
+    assert np.abs(got.vectors - _per_set(params, cfg, got.token_ids, vocab)).max() <= 1e-12
+
+
+def test_returned_vectors_do_not_alias_the_table(setup, forwards):
+    _, evidence, vocab, cfg, params, _ = setup
+    ctx = ev.encode_evidence(params, cfg, evidence, vocab)
+    want = ctx.vectors.copy()
+    ctx.vectors[:] = 7.0
+    assert np.array_equal(ev.encode_evidence(params, cfg, evidence, vocab).vectors,
+                          want)
+    assert len(forwards) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_table_matches_per_set_encoding_on_toy_dev_sets(tmp_path, seed, forwards):
+    make_toy_dataset(seed, 200, 8, tmp_path)
+    _, dev = td.load_dataset(tmp_path / "dev.jsonl")
+    idx = InvertedIndex.build(tmp_path / "corpus.txt")
+    vocab = Vocab.build([list(t) for t in idx.doc_tokens]
+                        + [g.members[0].event_tokens for g in dev])
+    cfg = tf.TransformerConfig(n_layers=2, n_heads=4, d_model=32, d_ff=64,
+                               max_len=72, dropout=0.0, causal=False)
+    rng = np.random.default_rng([seed, 5])
+    params = tf.init_params(cfg, len(vocab.id_to_token), rng)
+    codes = np.vstack([vq.init_codebook(16, cfg.d_model, rng).data,
+                       rng.normal(0, 1.0, size=(20, cfg.d_model))])
+    items = 0
+    for g in dev:
+        ctx = ev.encode_evidence(params, cfg, idx.search_topk(g.members[0].event_raw, k=45),
+                                 vocab)
+        items += len(ctx.token_ids)
+        ref = ev.ContextVectors(_per_set(params, cfg, ctx.token_ids, vocab),
+                                ctx.token_ids, ctx.evidence)
+        assert np.abs(ctx.vectors - ref.vectors).max() <= 1e-12
+        for row in codes:
+            assert ev.select_evidence(ctx, row)[0] == ev.select_evidence(ref, row)[0]
+    # dev sets share most paragraphs, so most items were table hits
+    assert sum(map(len, forwards)) < items / 2
