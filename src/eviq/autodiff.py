@@ -256,13 +256,23 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return custom_op(a.data[idx], back)
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax of a plain array over its trailing axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Max-shifted log-softmax of a plain array over its trailing axis."""
+    m = x.max(axis=-1, keepdims=True)
+    return x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Stable softmax over the trailing axis."""
     if not np.isfinite(x.data).all():
         raise NumericError("softmax input contains non-finite values")
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax(x.data)
 
     def back(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -270,17 +280,17 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return custom_op(s, back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise each trailing-axis slice to zero mean, unit variance."""
-    d = x.data.shape[-1]
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalise each row of a (T, d) tensor to zero mean, unit variance."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm wants (T, d) input, got {x.data.shape}")
+    d = x.data.shape[1]
     if gain.data.shape != (1, d) or bias.data.shape != (1, d):
         raise ShapeError(f"layer_norm gain/bias must be (1, {d})")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be > 0")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
 
     def back(g):
@@ -288,10 +298,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _acc_new(x, inv * (dxhat - m1 - xhat * m2))
-        _acc_new(gain, (g * xhat).sum(axis=0, keepdims=True)
-                 if g.ndim == 2 else (g * xhat).reshape(1, d))
-        _acc_new(bias, g.sum(axis=0, keepdims=True)
-                 if g.ndim == 2 else g.reshape(1, d))
+        _acc_new(gain, (g * xhat).sum(axis=0, keepdims=True))
+        _acc_new(bias, g.sum(axis=0, keepdims=True))
     return custom_op(xhat * gain.data + bias.data, back)
 
 
@@ -333,15 +341,11 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     n_scored = float(msk.sum())
     if n_scored == 0.0:
         raise DegenerateBatchError("cross_entropy: every position is masked")
-    m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
-    lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
-    picked = logits.data[np.arange(tn), tgt]
-    loss = -float(((picked - lse) * msk).sum() / n_scored)
+    picked = log_softmax(logits.data)[np.arange(tn), tgt]
+    loss = -float((picked * msk).sum() / n_scored)
 
     def back(g):
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = softmax(logits.data)
         p[np.arange(tn), tgt] -= 1.0
         p *= (msk * (float(g) / n_scored))[:, None]
         _acc_new(logits, p)
@@ -429,9 +433,7 @@ def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
     scores = (qh @ np.swapaxes(kh, -1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
     if mask is not None:
         scores = scores + mask
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = softmax(scores)
     return w @ vh, w
 
 

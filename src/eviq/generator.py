@@ -5,15 +5,16 @@ separator, event, dimension tag, begin marker, then the target prefix.
 Scoring sums next-token log-probabilities over the target positions
 (end marker included).
 
-Decoding is a beam search with deterministic tie-breaking and a
-length-normalized final ranking.  It runs the decoder incrementally: one
-forward over the prefix fills a per-layer key/value cache, and each step
-after that is one forward over just the live hypotheses' newest tokens,
-one row each, attending to the cache.  Survivors come from the
-(hypotheses, vocab) matrix of cumulative log-probabilities: the entries at
-or above its 2*width-th largest value are the only ones the keep and finish
-rules can reach, and one lexsort orders them by score, then by token
-sequence.  The cache then follows each survivor's parent.
+Decoding is a beam search with deterministic tie-breaking whose final
+ranking is the mean log-probability per token.  It runs the decoder
+incrementally: one forward over the prefix fills a per-layer key/value
+cache, and each step after that is one forward over just the live
+hypotheses' newest tokens, one row each, attending to the cache.
+Survivors come from the (hypotheses, vocab) matrix of cumulative
+log-probabilities: the entries at or above its 2*width-th largest value
+are the only ones the keep and finish rules can reach, and one lexsort
+orders them by score, then by token sequence.  The cache then follows each
+survivor's parent.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, cross_entropy, no_tape, scale
+from .autodiff import (ShapeError, Tensor, cross_entropy, log_softmax,
+                       no_tape, scale)
 from .textdata import (
     MAX_EVENT_TOKENS,
     MAX_EVIDENCE_TOKENS,
@@ -124,14 +126,7 @@ def next_token_logprobs(params: dict, config: TransformerConfig,
     """Log next-token distribution after the given prefix; no recording."""
     with no_tape():
         logits = decoder_forward(params, config, prefix_ids).data[-1]
-    return _log_softmax(logits)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities over the last axis, one distribution per row."""
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1,
-                                                         keepdims=True)))
+    return log_softmax(logits)
 
 
 @dataclass(frozen=True)
@@ -140,49 +135,48 @@ class Hypothesis:
     logprob: float         # raw cumulative log-probability
     finished: bool
 
-    def score(self, length_norm: str = "mean") -> float:
-        if length_norm == "none" or not self.tokens:
+    def score(self) -> float:
+        """Mean log-probability per token (the raw sum if there are no tokens)."""
+        if not self.tokens:
             return self.logprob
         return self.logprob / len(self.tokens)
 
 
 @dataclass(frozen=True)
 class BeamResult:
-    hypotheses: list       # best first, scored per length_norm
+    hypotheses: list       # best first by score()
     truncated: bool        # nothing finished within the step budget
 
 
 def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
                 evidence_ids, event_ids, dimension: str, width: int = 10,
-                max_steps: int = 32, length_norm: str = "mean") -> BeamResult:
+                max_steps: int = 32) -> BeamResult:
     """Top-width end-marker-terminated continuations of the prefix.
 
     Pruning keeps the width best raw cumulative log-probabilities; the final
-    ranking uses the length-normalized score.  Score ties break by token-id
-    order, so results are deterministic.
+    ranking uses the mean log-probability per token.  Score ties break by
+    token-id order, so results are deterministic.
     """
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
     if max_steps < 1 or max_steps > MAX_INFERENCE_TOKENS:
         raise ValueError(
             f"max_steps must be in 1..{MAX_INFERENCE_TOKENS}, got {max_steps}")
-    if length_norm not in ("mean", "none"):
-        raise ValueError(f"unknown length_norm {length_norm!r}")
     base = assemble(vocab, config, evidence_ids, event_ids, dimension)
     prefix = base.input_ids
     if len(prefix) + max_steps > config.max_len:
         raise ShapeError(f"prefix {len(prefix)} + {max_steps} decode steps "
                          f"exceeds max_len {config.max_len}")
     cache = KVCache()
-    logp = _log_softmax(cached_next_logits(params, config, [prefix], cache))
+    logp = log_softmax(cached_next_logits(params, config, [prefix], cache))
     tokens = np.zeros((1, 0), dtype=np.int64)   # one row per live hypothesis
     cum = np.zeros(1)                           # their raw log-probabilities
     finished: list[Hypothesis] = []
     for step in range(max_steps):
         if step:
             cache.reorder(parents)
-            logp = _log_softmax(cached_next_logits(params, config,
-                                                   tokens[:, -1:], cache))
+            logp = log_softmax(cached_next_logits(params, config,
+                                                  tokens[:, -1:], cache))
         scores = (cum[:, None] + logp).ravel()
         # each parent has one end-marked expansion, so the first width
         # unfinished survivors sit in the top 2*width; ties at the cut stay
@@ -212,9 +206,9 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
         if not keep or len(finished) >= width:
             break
     if finished:
-        finished.sort(key=lambda h: (-h.score(length_norm), h.tokens))
+        finished.sort(key=lambda h: (-h.score(), h.tokens))
         return BeamResult(hypotheses=finished[:width], truncated=False)
     leftovers = [Hypothesis(tokens=tuple(t), logprob=float(c), finished=False)
                  for t, c in zip(tokens.tolist(), cum)]
-    leftovers.sort(key=lambda h: (-h.score(length_norm), h.tokens))
+    leftovers.sort(key=lambda h: (-h.score(), h.tokens))
     return BeamResult(hypotheses=leftovers[:width], truncated=True)

@@ -20,21 +20,23 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 5e-5,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 5e-5) -> None:
     """One bias-corrected Adam update, in place on param.data.
 
-    A parameter with no gradient is left untouched.  Any non-finite gradient
-    aborts the whole step before anything is mutated, naming the parameter.
+    Moment decays 0.9 and 0.999, epsilon 1e-8.  A parameter with no gradient
+    is left untouched.  Any non-finite gradient aborts the whole step before
+    anything is mutated, naming the parameter.
     """
     for name, p in params.items():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise OptimError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    b1, b2 = betas
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -45,16 +47,16 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 5e-5,
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
-        # lr * (m / c1) / (sqrt(v / c2) + eps), operation for operation,
+        # lr * (m / c1) / (sqrt(v / c2) + _EPS), operation for operation,
         # written into two scratch buffers instead of a fresh array per operation.
         step = np.empty_like(m)
         den = np.empty_like(v)
-        m *= b1
-        m += np.multiply(1.0 - b1, g, out=step)
-        v *= b2
-        v += np.multiply(1.0 - b2, np.multiply(g, g, out=den), out=den)
+        m *= _BETA1
+        m += np.multiply(1.0 - _BETA1, g, out=step)
+        v *= _BETA2
+        v += np.multiply(1.0 - _BETA2, np.multiply(g, g, out=den), out=den)
         np.multiply(lr, np.divide(m, c1, out=step), out=step)
-        np.add(np.sqrt(np.divide(v, c2, out=den), out=den), eps, out=den)
+        np.add(np.sqrt(np.divide(v, c2, out=den), out=den), _EPS, out=den)
         p.data -= np.divide(step, den, out=step)
 
 

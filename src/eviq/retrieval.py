@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,6 @@ K1 = 1.2
 B = 0.75
 DEFAULT_TOP_K = 45
 
-STOPWORD_VERSION = "english-33-v1"
 # the classic 33-word English analyzer default list
 STOPWORDS = frozenset((
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "if",
@@ -56,7 +56,6 @@ class IndexError_(ValueError):
 class EvidenceItem:
     doc_id: int
     tokens: tuple
-    raw: str
     score: float
 
     @property
@@ -239,15 +238,12 @@ class InvertedIndex:
     def evidence_set(self, event: str, hits) -> EvidenceSet:
         """The event's (doc id, score) hits as items, empty placeholder last.
 
-        Each item carries its doc's tokens cut to MAX_EVIDENCE_TOKENS and
-        its raw text.
+        Each item carries its doc's tokens cut to MAX_EVIDENCE_TOKENS.
         """
-        items = [EvidenceItem(doc_id=d,
-                              tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]),
-                              raw=self.raw_docs[d], score=s)
+        items = [EvidenceItem(doc_id=d, score=s,
+                              tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]))
                  for d, s in hits]
-        items.append(EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,),
-                                  raw="", score=0.0))
+        items.append(EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), score=0.0))
         return EvidenceSet(event=event, items=tuple(items))
 
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
@@ -278,8 +274,31 @@ class InvertedIndex:
             event, zip(cand[order].tolist(), top[order].tolist()))
 
 
+def _parse_record(line: bytes, n_docs: int):
+    """(event, hits) of one cache line; ValueError saying what is wrong."""
+    crc, _, text = line.partition(b" ")
+    if crc != b"%08x" % zlib.crc32(text):
+        raise ValueError("checksum mismatch")
+    try:
+        rec = json.loads(text)
+        event, hits = rec["event"], rec["hits"]
+    except (ValueError, KeyError, TypeError):
+        raise ValueError("corrupt cache record") from None
+    if type(event) is not str or type(hits) is not list:
+        raise ValueError("corrupt cache record")
+    for hit in hits:
+        if type(hit) is not list or len(hit) != 2:
+            raise ValueError(f"hit {hit!r} is not a [doc id, score] pair")
+        d, score = hit
+        if type(d) is not int or not 0 <= d < n_docs:
+            raise ValueError(f"doc id {d!r} is not an int in 0..{n_docs - 1}")
+        if type(score) is not float or not math.isfinite(score):
+            raise ValueError(f"score {score!r} is not a finite float")
+    return event, hits
+
+
 class RetrievalCache:
-    """Per-(index, k) retrieval memo, optionally persisted as JSONL.
+    """Per-(index, k) retrieval memo, optionally persisted one record a line.
 
     The cache directory comes from the EVIQ_CACHE_DIR environment variable
     unless given explicitly; with neither, the cache is memory-only.
@@ -293,16 +312,20 @@ class RetrievalCache:
         self.path = None
         if base:
             Path(base).mkdir(parents=True, exist_ok=True)
-            name = f"retrieval-{index.fingerprint()[:16]}-k{k}.jsonl"
+            name = f"retrieval-{index.fingerprint()[:16]}-k{k}-v2.txt"
             self.path = Path(base) / name
             self._load()
 
     def _load(self) -> None:
         """Read the persisted records.
 
-        Every record is written with its newline, so trailing bytes without
-        one were torn by a crash mid-append and are cut from the file.  Any
-        other unreadable line, or a doc id outside the index, raises.
+        A record is one line: the CRC-32 of its JSON text as 8 hex digits, a
+        space, then the JSON text {"event": str, "hits": [[doc id, score],
+        ...]}.  Every record is written with its newline, so trailing bytes
+        without one were torn by a crash mid-append and are cut from the
+        file.  Any other line raises, naming the file and line, if its
+        checksum or JSON is wrong, a doc id is not an int inside the index,
+        or a score is not a finite float.
         """
         if self.path is None or not self.path.exists():
             return
@@ -313,16 +336,9 @@ class RetrievalCache:
             os.truncate(self.path, len(data) - len(torn))
         for n, line in enumerate(lines, 1):
             try:
-                rec = json.loads(line)
-                event, hits = rec["event"], rec["hits"]
-                doc_ids = [d for d, _ in hits]
-            except (ValueError, KeyError, TypeError):
-                raise IndexError_(
-                    f"{self.path} line {n}: corrupt cache record") from None
-            for d in doc_ids:
-                if not (isinstance(d, int) and 0 <= d < n_docs):
-                    raise IndexError_(f"{self.path} line {n}: doc id {d!r} "
-                                      f"outside 0..{n_docs - 1}")
+                event, hits = _parse_record(line, n_docs)
+            except ValueError as e:
+                raise IndexError_(f"{self.path} line {n}: {e}") from None
             self._memo[event] = self.index.evidence_set(event, hits)
 
     def get(self, event: str) -> EvidenceSet:
@@ -331,9 +347,10 @@ class RetrievalCache:
             hit = self.index.search_topk(event, self.k)
             self._memo[event] = hit
             if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({
-                        "event": event,
-                        "hits": [[it.doc_id, it.score] for it in hit.retrieved],
-                    }) + "\n")
+                text = json.dumps({
+                    "event": event,
+                    "hits": [[it.doc_id, it.score] for it in hit.retrieved],
+                }).encode("ascii")
+                with open(self.path, "ab") as fh:
+                    fh.write(b"%08x %s\n" % (zlib.crc32(text), text))
         return hit

@@ -61,13 +61,13 @@ class Vocab:
         self.empty_id = self.token_to_id[EMPTY]
 
     @classmethod
-    def build(cls, token_streams, min_count: int = 1) -> "Vocab":
+    def build(cls, token_streams) -> "Vocab":
         """Deterministic vocabulary: reserved block, then (count desc, token asc)."""
         counts = Counter()
         for stream in token_streams:
             counts.update(stream)
         kept = sorted(
-            (t for t, c in counts.items() if c >= min_count and t not in RESERVED),
+            (t for t in counts if t not in RESERVED),
             key=lambda t: (-counts[t], t),
         )
         return cls(list(RESERVED) + kept)

@@ -7,6 +7,9 @@ get a short decoy paragraph that quotes the event but carries no cluster
 signal, so plain top-rank retrieval conditions on an uninformative text for
 those events.  Background paragraphs are written first (lowest doc ids) and
 kept shorter than planted ones so that rank tails stay neutral.
+
+make_toy_dataset writes the files and returns nothing: meta.jsonl, read back
+by load_toy_meta, is the one record of the ground truth.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ TOY_DIMENSIONS = ("xIntent", "xReact", "oReact")
 
 N_JUNK = 16
 PHRASES_PER_CLUSTER = 12
+DEV_FRACTION = 0.25  # of each cluster's events
 
 
 @dataclass
@@ -96,15 +100,6 @@ class ToyEvent:
     planted_doc: int
     herring_doc: int  # -1 when the event has no decoy paragraph
     split: str
-
-
-@dataclass
-class ToyInfo:
-    seed: int
-    n_events: int
-    n_clusters: int
-    mean_inferences: float
-    events: list
 
 
 def _extend(pool, need):
@@ -134,8 +129,7 @@ def _cluster_phrases(words, rng) -> list[str]:
     return out
 
 
-def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path,
-                     dev_fraction: float = 0.25) -> ToyInfo:
+def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path) -> None:
     """Write dataset/corpus/split/meta files into out_path, deterministically.
 
     Files: dataset.jsonl (all records), train.jsonl, dev.jsonl, corpus.txt,
@@ -207,7 +201,7 @@ def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path,
         if not idx:
             continue
         order = rng.permutation(len(idx))
-        n_dev = max(1, int(round(dev_fraction * len(idx)))) if len(idx) > 1 else 0
+        n_dev = max(1, int(round(DEV_FRACTION * len(idx)))) if len(idx) > 1 else 0
         for k in range(n_dev):
             events[idx[order[k]]].split = "dev"
 
@@ -245,9 +239,6 @@ def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path,
                 "cluster": ev.cluster, "planted_doc": ev.planted_doc,
                 "herring_doc": ev.herring_doc, "split": ev.split,
             }, sort_keys=True) + "\n")
-
-    return ToyInfo(seed=seed, n_events=n_events, n_clusters=n_clusters,
-                   mean_inferences=mean_inf, events=events)
 
 
 def load_toy_meta(path):

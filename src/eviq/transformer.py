@@ -2,17 +2,17 @@
 
 One weight layout and one forward serve three call patterns: a bidirectional
 encoder pooled at a trailing summary token, a causal next-token decoder, and
-the decoder variant conditioned on a latent row vector.  The forward takes a
-list of id sequences and keeps their rows packed end to end in one
-(total length, width) matrix, so embedding, projections, layer norm,
-feed-forward, dropout and residuals each run once over every sequence.  Only
-attention sees the sequence boundaries: it is handed the sequence lengths and
-the causal flag and builds its own mask, so no query attends across
-sequences and none looks ahead in a causal stack.  The single-sequence entry
-points are the one-sequence case of the batched ones.  Incremental decoding
-runs the same forward with a KVCache: each layer's attention then reads the
-keys and values of earlier positions from the cache instead of recomputing
-them, and adds its own.
+the decoder variant conditioned on one (1, d_model) latent row shared by
+every position.  The forward takes a list of id sequences and keeps their
+rows packed end to end in one (total length, width) matrix, so embedding,
+projections, layer norm, feed-forward, dropout and residuals each run once
+over every sequence.  Only attention sees the sequence boundaries: it is
+handed the sequence lengths and the causal flag and builds its own mask, so
+no query attends across sequences and none looks ahead in a causal stack.
+The single-sequence entry points are the one-sequence case of the batched
+ones.  Incremental decoding runs the same forward with a KVCache: each
+layer's attention then reads the keys and values of earlier positions from
+the cache instead of recomputing them, and adds its own.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ def _forward(params: dict, config: TransformerConfig, seqs,
     """Packed rows of the id sequences after the last layer.
 
     Positions restart at zero inside each sequence, or continue after the
-    rows a cache holds.  z, when given, holds one latent row for all rows or
-    one per packed row; it is added to the input embeddings and, in every
-    layer, to the projected queries, keys and values.
+    rows a cache holds.  z, when given, is one (1, d_model) latent row for
+    all rows; it is added to the input embeddings and, in every layer, to
+    the projected queries, keys and values.
     """
     lengths = tuple(len(s) for s in seqs)
     if not lengths:
@@ -195,10 +195,8 @@ def _forward(params: dict, config: TransformerConfig, seqs,
                              f"1..{config.max_len}")
     ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
     positions = np.concatenate([np.arange(start, start + n) for n in lengths])
-    if z is not None and (z.shape[1] != config.d_model
-                          or z.shape[0] not in (1, len(ids))):
-        raise ShapeError(f"latent shape {z.shape}, want (1 or {len(ids)}, "
-                         f"{config.d_model})")
+    if z is not None and z.shape != (1, config.d_model):
+        raise ShapeError(f"latent shape {z.shape}, want (1, {config.d_model})")
     h = add(gather_rows(params["tok_emb"], ids),
             gather_rows(params["pos_emb"], positions))
     if z is not None:
@@ -253,19 +251,18 @@ def decoder_forward(params: dict, config: TransformerConfig, token_ids,
 
 
 def batch_decoder_forward(params: dict, config: TransformerConfig, seqs,
-                          z_rows: Tensor | None = None, train: bool = False,
+                          z: Tensor | None = None, train: bool = False,
                           rng=None) -> Tensor:
     """Causal pass over several sequences packed end to end.
 
-    Returns logits (sum of lengths, vocab), sequence after sequence.
-    z_rows, when given, is one latent row for every packed row or a single
-    row shared by all of them.
+    Returns logits (sum of lengths, vocab), sequence after sequence.  z,
+    when given, is one (1, d_model) latent row shared by every packed row.
     """
     if not config.causal:
         raise ValueError("decoder forward needs a causal config")
-    h = _forward(params, config, seqs, z_rows, train, rng)
-    if z_rows is not None:
-        h = add(h, z_rows)
+    h = _forward(params, config, seqs, z, train, rng)
+    if z is not None:
+        h = add(h, z)
     return matmul_nt(h, params["tok_emb"])
 
 

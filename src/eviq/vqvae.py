@@ -80,23 +80,20 @@ def straight_through(enc_vec: Tensor, nearest: NearestCode) -> Tensor:
 
 
 def quantization_loss(enc_vec: Tensor, codebook: Tensor, nearest: NearestCode,
-                      recon_nll: Tensor, commit_weight: float = COMMIT_WEIGHT
-                      ) -> Tensor:
-    """recon_nll + ||pin(enc) - row||^2 + w * ||enc - pin(row)||^2.
+                      recon_nll: Tensor) -> Tensor:
+    """recon_nll + ||pin(enc) - row||^2 + COMMIT_WEIGHT * ||enc - pin(row)||^2.
 
     recon_nll must have been computed from straight_through(enc_vec,
     nearest).  Routing: the codebook row moves only under the middle term,
     the encoder sees the reconstruction gradient plus the commitment pull,
     the decoder sees reconstruction only.
     """
-    if commit_weight <= 0.0:
-        raise ValueError(f"commit weight must be > 0, got {commit_weight}")
     if recon_nll.shape != ():
         raise ShapeError(f"recon_nll must be scalar, got {recon_nll.shape}")
     live_row = gather_rows(codebook, np.array([nearest.index]))
     codebook_pull = squared_norm(sub(constant(nearest.enc_snapshot), live_row))
     commitment = squared_norm(sub(enc_vec, constant(nearest.row)))
-    return add_n([recon_nll, codebook_pull, scale(commitment, commit_weight)])
+    return add_n([recon_nll, codebook_pull, scale(commitment, COMMIT_WEIGHT)])
 
 
 def code_frequencies(group_keys, code_indices, n_codes: int
@@ -155,11 +152,6 @@ def kl_divergence(target: np.ndarray, model: Tensor) -> Tensor:
         accumulate_new(model, d.reshape(model.shape) * gs)
 
     return custom_op(np.array(val), back)
-
-
-def sample_code(probs, rng: np.random.Generator) -> int:
-    p = np.asarray(probs, dtype=np.float64).reshape(-1)
-    return int(rng.choice(len(p), p=p / p.sum()))
 
 
 def code_utilization(code_indices, n_codes: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from eviq import autodiff as ad
 from eviq.optim import AdamState, OptimError, adam_step
 
-from fdcheck import check_grads, fd_grad, rel_err, sample_coords
+from fdcheck import check_grads
 
 
 def _rng(seed=0):
@@ -56,6 +56,61 @@ def test_softmax_extreme_logits_stay_finite():
 def test_softmax_rejects_non_finite():
     with pytest.raises(ad.NumericError):
         ad.softmax_lastdim(ad.Tensor(np.array([[1.0, np.nan]])))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 4, 5, 6)],
+                         ids=["1x1", "3x7", "2x4x5x6"])
+def test_softmax_and_log_softmax_are_bitwise_the_inline_expressions(shape):
+    # the expressions the op, attention and the beam search each wrote out
+    # before sharing these two functions; masked entries as attention adds
+    rng = _rng(13)
+    x = rng.normal(scale=6.0, size=shape)
+    x = np.where(rng.random(shape) < 0.3, x + ad.NEG_INF, x)
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(_bits(ad.softmax(x)), _bits(want))
+    want = x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+    assert np.array_equal(_bits(ad.log_softmax(x)), _bits(want))
+
+
+@pytest.mark.parametrize("seed", [14, 15, 16])
+def test_cross_entropy_value_and_gradient_are_bitwise_the_inline_expressions(seed):
+    rng = _rng(seed)
+    tn, v = 6, 9
+    x = rng.normal(scale=4.0, size=(tn, v))
+    tgt = rng.integers(0, v, size=tn)
+    msk = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    logits = ad.Tensor(x)
+    with ad.tape() as t:
+        loss = ad.cross_entropy(logits, tgt, msk)
+        out = ad.scale(loss, 2.5)
+    t.backward(out)
+    # the loss's own expressions before it shared log_softmax and softmax
+    n_scored = float(msk.sum())
+    m = x.max(axis=-1, keepdims=True)
+    z = x - m
+    lse = np.log(np.exp(z).sum(axis=-1)) + m[:, 0]
+    picked = x[np.arange(tn), tgt]
+    want = -float(((picked - lse) * msk).sum() / n_scored)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    p[np.arange(tn), tgt] -= 1.0
+    p *= (msk * (2.5 / n_scored))[:, None]
+    assert _bits(loss.item()) == _bits(want)
+    assert np.array_equal(_bits(logits.grad), _bits(p))
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 3, 8)], ids=["1d", "3d"])
+def test_layer_norm_rejects_input_that_is_not_rows(shape):
+    g = ad.Tensor(np.ones((1, 8)))
+    b = ad.Tensor(np.zeros((1, 8)))
+    with pytest.raises(ad.ShapeError):
+        ad.layer_norm(ad.Tensor(np.zeros(shape)), g, b)
 
 
 def test_layer_norm_centres_and_scales():

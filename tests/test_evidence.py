@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eviq.autodiff import ShapeError, Tensor, no_tape, squared_norm, sub, constant, tape
+from eviq.autodiff import Tensor, no_tape, tape
 from eviq import evidence as ev
 from eviq import textdata as td
 from eviq import transformer as tf
 from eviq import vqvae as vq
 from eviq.retrieval import InvertedIndex
-from eviq.textdata import EMPTY, Vocab
+from eviq.textdata import Vocab
 from eviq.toydata import make_toy_dataset
 
 from fdcheck import check_grads

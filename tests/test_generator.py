@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eviq.autodiff import ShapeError, no_tape, softmax_lastdim, tape
+from eviq.autodiff import ShapeError, log_softmax, no_tape, softmax_lastdim, tape
 from eviq import generator as gen
 from eviq import transformer as tf
 from eviq.textdata import Vocab
@@ -182,9 +182,9 @@ def test_beam_wide_matches_exhaustive_enumeration():
             paths.append((tuple(seq), lp / len(seq), lp))
     paths.sort(key=lambda t: (-t[1], t[0]))
     assert best.tokens == paths[0][0]
-    assert best.score("mean") == pytest.approx(paths[0][1], abs=1e-10)
+    assert best.score() == pytest.approx(paths[0][1], abs=1e-10)
     # the leading hypotheses agree with enumeration, not just the winner
-    got = [(h.tokens, h.score("mean")) for h in res.hypotheses[:10]]
+    got = [(h.tokens, h.score()) for h in res.hypotheses[:10]]
     want = [(t, s) for t, s, _ in paths[:10]]
     for (gt, gs), (wt, ws) in zip(got, want):
         assert gt == wt and abs(gs - ws) < 1e-10
@@ -225,7 +225,7 @@ def test_wider_beam_never_worse():
                                   width=width, max_steps=4)
             if res.truncated:
                 continue
-            score = res.hypotheses[0].score("mean")
+            score = res.hypotheses[0].score()
             assert score >= best - 1e-12, (seed, width)
             best = max(best, score)
         assert best > -np.inf
@@ -252,13 +252,9 @@ def test_beam_rejects_bad_arguments(setup):
     with pytest.raises(ValueError):
         gen.beam_search(params, cfg, vocab, [4], [5], "xIntent",
                         max_steps=33)
-    with pytest.raises(ValueError):
-        gen.beam_search(params, cfg, vocab, [4], [5], "xIntent",
-                        length_norm="sum")
 
 
-def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps,
-                    length_norm="mean"):
+def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps):
     # the decode this module ran before its key/value cache: every step
     # recomputes each live hypothesis from scratch and sorts the full list
     # of width x vocab expansions by (score, token tuple)
@@ -285,11 +281,11 @@ def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps,
         if not active or len(finished) >= width:
             break
     if finished:
-        finished.sort(key=lambda h: (-h.score(length_norm), h.tokens))
+        finished.sort(key=lambda h: (-h.score(), h.tokens))
         return gen.BeamResult(hypotheses=finished[:width], truncated=False)
     leftovers = [gen.Hypothesis(tokens=t, logprob=c, finished=False)
                  for t, c in active]
-    leftovers.sort(key=lambda h: (-h.score(length_norm), h.tokens))
+    leftovers.sort(key=lambda h: (-h.score(), h.tokens))
     return gen.BeamResult(hypotheses=leftovers[:width], truncated=True)
 
 
@@ -302,31 +298,28 @@ def _assert_same_beam(got, want):
         assert abs(g.logprob - w.logprob) < 1e-10
 
 
-@pytest.mark.parametrize("length_norm", ["mean", "none"])
-@pytest.mark.parametrize("width", [1, 3, 10, 64])
+# ids end in "-mean": these cases check the mean log-prob per token ranking
+WIDTHS = pytest.mark.parametrize("width", [1, 3, 10, 64],
+                                 ids=lambda w: f"{w}-mean")
+
+
+@WIDTHS
 @pytest.mark.parametrize("seed", [3, 5, 8])
-def test_beam_matches_reference_tiny_vocab(seed, width, length_norm):
+def test_beam_matches_reference_tiny_vocab(seed, width):
     vocab, cfg, params = _tiny_vocab_model(seed=seed)
     for x in (vocab.encode(["a"]), vocab.encode(["b", "a"])):
         args = (params, cfg, vocab, [vocab.empty_id], x, "xIntent")
-        _assert_same_beam(
-            gen.beam_search(*args, width=width, max_steps=4,
-                            length_norm=length_norm),
-            _reference_beam(*args, width=width, max_steps=4,
-                            length_norm=length_norm))
+        _assert_same_beam(gen.beam_search(*args, width=width, max_steps=4),
+                          _reference_beam(*args, width=width, max_steps=4))
 
 
-@pytest.mark.parametrize("length_norm", ["mean", "none"])
-@pytest.mark.parametrize("width", [1, 3, 10, 64])
-def test_beam_matches_reference_setup(setup, width, length_norm):
+@WIDTHS
+def test_beam_matches_reference_setup(setup, width):
     vocab, cfg, params = setup
     args = (params, cfg, vocab, _ids(vocab, "alpha", "gamma"),
             _ids(vocab, "beta"), "xReact")
-    _assert_same_beam(
-        gen.beam_search(*args, width=width, max_steps=5,
-                        length_norm=length_norm),
-        _reference_beam(*args, width=width, max_steps=5,
-                        length_norm=length_norm))
+    _assert_same_beam(gen.beam_search(*args, width=width, max_steps=5),
+                      _reference_beam(*args, width=width, max_steps=5))
 
 
 @pytest.mark.parametrize("width", [3, 10])
@@ -397,6 +390,6 @@ def test_cached_logprobs_match_recomputation(setup, monkeypatch):
         for hyp, row in zip(live, logits):
             want = gen.next_token_logprobs(
                 params, cfg, np.concatenate([prefix, np.array(hyp, dtype=np.int64)]))
-            assert np.abs(gen._log_softmax(row) - want).max() < 1e-10
+            assert np.abs(log_softmax(row) - want).max() < 1e-10
         checked += 1
     assert shared and checked > 2

@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -103,7 +104,6 @@ def test_stopwords_dropped_from_event_query(idx3):
 
 
 def test_stopword_list_pinned():
-    assert rt.STOPWORD_VERSION == "english-33-v1"
     assert len(rt.STOPWORDS) == 33
     assert {"the", "and", "will", "such"} <= rt.STOPWORDS
     assert "cat" not in rt.STOPWORDS
@@ -203,15 +203,48 @@ def test_retrieval_cache_corrupt_inner_line_names_file_and_line(tmp_path, idx3):
     assert cache.path.name in str(e.value) and "line 1" in str(e.value)
 
 
+def _append_record(path, text):
+    # a line as the cache writes it: CRC-32 of the JSON text, a space, the text
+    data = text.encode("ascii")
+    with open(path, "ab") as fh:
+        fh.write(b"%08x %s\n" % (zlib.crc32(data), data))
+
+
+def _reload_error(idx, cache_dir):
+    with pytest.raises(rt.IndexError_) as e:
+        rt.RetrievalCache(idx, k=3, cache_dir=cache_dir)
+    return str(e.value)
+
+
 @pytest.mark.parametrize("doc_id", [-1, 3])
 def test_retrieval_cache_rejects_doc_id_outside_index(tmp_path, idx3, doc_id):
     cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
     cache.get("the cat")
-    with open(cache.path, "a", encoding="utf-8") as fh:
-        fh.write('{"event": "the dog", "hits": [[%d, 1.0]]}\n' % doc_id)
-    with pytest.raises(rt.IndexError_) as e:
-        rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
-    assert cache.path.name in str(e.value) and "line 2" in str(e.value)
+    _append_record(cache.path, '{"event": "the dog", "hits": [[%d, 1.0]]}' % doc_id)
+    err = _reload_error(idx3, tmp_path)
+    assert cache.path.name in err and "line 2" in err and "not an int in 0..2" in err
+
+
+@pytest.mark.parametrize("hit", ['[1, "oops"]', "[1, NaN]", "[1, -Infinity]", "[true, 1.0]"],
+                         ids=["str-score", "nan-score", "minus-inf-score", "bool-doc-id"])
+def test_retrieval_cache_rejects_mistyped_hit(tmp_path, idx3, hit):
+    # each line carries a valid checksum, so only the type check can catch it
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    _append_record(cache.path, '{"event": "the dog", "hits": [%s]}' % hit)
+    err = _reload_error(idx3, tmp_path)
+    assert cache.path.name in err and "line 2" in err
+
+
+def test_retrieval_cache_checksum_catches_a_flipped_doc_id(tmp_path, idx3):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    cache.get("the dog")
+    data = cache.path.read_bytes()
+    assert data.count(b"[[1,") == 1   # "the dog" hits doc 1 only
+    cache.path.write_bytes(data.replace(b"[[1,", b"[[2,"))
+    err = _reload_error(idx3, tmp_path)
+    assert cache.path.name in err and "line 2" in err and "checksum" in err
 
 
 def _reference_search_topk(index, event, k):

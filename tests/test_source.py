@@ -1,4 +1,4 @@
-"""Static checks over the package source, using only the stdlib parser."""
+"""Static checks over the package and test source, using only the stdlib parser."""
 
 import ast
 from pathlib import Path
@@ -23,7 +23,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,12 +50,6 @@ def test_vocab_deterministic_and_frequency_ordered():
     base = len(td.RESERVED)
     # a(3) before b(2) before c(1); count desc then token asc
     assert v1.id_to_token[base:] == ["a", "b", "c"]
-
-
-def test_vocab_min_count_cutoff():
-    v = td.Vocab.build([["rare", "common", "common"]], min_count=2)
-    assert "rare" not in v.token_to_id
-    assert "common" in v.token_to_id
 
 
 def test_dim_ids_distinct_and_unknown_rejected():
