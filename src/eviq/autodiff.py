@@ -167,16 +167,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(a.data + b.data, back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shapes differ: {a.data.shape} vs {b.data.shape}")
-
-    def back(g):
-        _acc(a, g)
-        _acc_new(b, -g)
-    return custom_op(a.data - b.data, back)
-
-
 def add_n(ts: list[Tensor]) -> Tensor:
     """Sum of same-shaped tensors as one node."""
     if not ts:
@@ -256,16 +246,23 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return custom_op(a.data[idx], back)
 
 
+def _shifted_exp(x: np.ndarray):
+    """Row max, exp(x - max) and its row sum over the trailing axis."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return m, e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted softmax of a plain array over its trailing axis."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    _, e, s = _shifted_exp(x)
+    return e / s
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted log-softmax of a plain array over its trailing axis."""
-    m = x.max(axis=-1, keepdims=True)
-    return x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+    m, _, s = _shifted_exp(x)
+    return x - (m + np.log(s))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -341,22 +338,32 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     n_scored = float(msk.sum())
     if n_scored == 0.0:
         raise DegenerateBatchError("cross_entropy: every position is masked")
-    picked = log_softmax(logits.data)[np.arange(tn), tgt]
+    m, e, s = _shifted_exp(logits.data)
+    rows = np.arange(tn)
+    picked = logits.data[rows, tgt] - (m + np.log(s))[:, 0]
     loss = -float((picked * msk).sum() / n_scored)
 
     def back(g):
-        p = softmax(logits.data)
-        p[np.arange(tn), tgt] -= 1.0
+        p = e / s
+        p[rows, tgt] -= 1.0
         p *= (msk * (float(g) / n_scored))[:, None]
         _acc_new(logits, p)
     return custom_op(loss, back)
 
 
-def squared_norm(x: Tensor) -> Tensor:
-    """Sum of squared entries, as a scalar tensor."""
+def squared_distance(x: Tensor, row: np.ndarray) -> Tensor:
+    """Sum of (x - row)^2 as a scalar tensor; row is a plain, frozen array.
+
+    The gradient flows into x only, so row stands behind a stop-gradient.
+    """
+    if x.data.shape != row.shape:
+        raise ShapeError(f"squared_distance shapes differ: {x.data.shape} "
+                         f"vs {row.shape}")
+    d = x.data - row
+
     def back(g):
-        _acc_new(x, (2.0 * float(g)) * x.data)
-    return custom_op(float((x.data * x.data).sum()), back)
+        _acc_new(x, (2.0 * float(g)) * d)
+    return custom_op(float((d * d).sum()), back)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

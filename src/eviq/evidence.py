@@ -2,10 +2,12 @@
 
 Every retrieved paragraph, plus the always-present empty placeholder, is
 encoded to one pooled context vector.  A latent code row picks the nearest
-context vector; generation conditions on that paragraph alone.  During
+context vector by vqvae.nearest_row, the rule that also snaps encoder
+vectors to codes; generation conditions on that paragraph alone.  During
 stage-3 training the chosen paragraph is scored against a random counter
 paragraph, and the resulting +/-1 reward decides whether the chosen context
-vector is pulled toward or pushed away from the code row.
+vector is pulled toward or pushed away from the code row, by the squared
+distance to a frozen copy of the row.
 
 A context vector depends only on the encoder weights and the paragraph's own
 encoder input, never on the event, so encode_evidence keeps one table of
@@ -28,19 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    constant,
-    no_tape,
-    scale,
-    squared_norm,
-    sub,
-)
+from .autodiff import ShapeError, Tensor, no_tape, scale, squared_distance
 from .retrieval import EvidenceSet
 from .textdata import Vocab
 from .transformer import (TransformerConfig, batch_encoder_forward,
                           encoder_forward)
+from .vqvae import nearest_row
 
 
 @dataclass
@@ -127,13 +122,8 @@ def encode_item(params: dict, config: TransformerConfig,
 
 
 def select_evidence(context: ContextVectors, code_row: np.ndarray):
-    """Nearest context vector to the code row; lowest index wins ties."""
-    row = np.asarray(code_row).reshape(-1)
-    if row.shape[0] != context.vectors.shape[1]:
-        raise ShapeError(f"code width {row.shape[0]} != context width "
-                         f"{context.vectors.shape[1]}")
-    diff = context.vectors - row
-    index = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    """Nearest context vector to the code row, by nearest_row."""
+    index = nearest_row(context.vectors, code_row)
     return index, context.evidence.items[index]
 
 
@@ -161,5 +151,5 @@ def selection_pull_loss(chosen_vec: Tensor, code_row: np.ndarray,
     """
     if reward not in (1, -1):
         raise ValueError(f"reward must be +1 or -1, got {reward}")
-    row = constant(np.asarray(code_row).reshape(1, -1))
-    return scale(squared_norm(sub(chosen_vec, row)), float(reward))
+    row = np.asarray(code_row).reshape(1, -1)
+    return scale(squared_distance(chosen_vec, row), float(reward))

@@ -54,7 +54,6 @@ class AssembledInput:
     input_ids: np.ndarray
     target_ids: np.ndarray
     target_mask: np.ndarray
-    prefix_len: int   # length of [evidence, sep, event, dim, bos]
 
 
 def _check_segments(config: TransformerConfig, evidence_ids, event_ids,
@@ -93,7 +92,7 @@ def assemble(vocab: Vocab, config: TransformerConfig, evidence_ids,
     target[start:start + len(want)] = want
     mask[start:start + len(want)] = 1.0
     return AssembledInput(input_ids=input_ids, target_ids=target,
-                          target_mask=mask, prefix_len=len(prefix))
+                          target_mask=mask)
 
 
 def generation_nll(params: dict, config: TransformerConfig, vocab: Vocab,
@@ -131,21 +130,19 @@ def next_token_logprobs(params: dict, config: TransformerConfig,
 
 @dataclass(frozen=True)
 class Hypothesis:
-    tokens: tuple          # generated ids, end marker included when finished
+    tokens: tuple          # generated ids, end marker last unless truncated
     logprob: float         # raw cumulative log-probability
-    finished: bool
 
     def score(self) -> float:
-        """Mean log-probability per token (the raw sum if there are no tokens)."""
-        if not self.tokens:
-            return self.logprob
+        """Mean log-probability per token."""
         return self.logprob / len(self.tokens)
 
 
 @dataclass(frozen=True)
 class BeamResult:
     hypotheses: list       # best first by score()
-    truncated: bool        # nothing finished within the step budget
+    truncated: bool        # nothing finished within the step budget, so no
+                           # hypothesis ends with the end marker
 
 
 def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
@@ -197,7 +194,7 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
                     finished.append(Hypothesis(
                         tokens=tuple(tokens[parent[c]].tolist())
                         + (vocab.eos_id,),
-                        logprob=float(scores[cand[c]]), finished=True))
+                        logprob=float(scores[cand[c]])))
             elif len(keep) < width:
                 keep.append(c)
         parents = parent[keep]
@@ -208,7 +205,7 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
     if finished:
         finished.sort(key=lambda h: (-h.score(), h.tokens))
         return BeamResult(hypotheses=finished[:width], truncated=False)
-    leftovers = [Hypothesis(tokens=tuple(t), logprob=float(c), finished=False)
+    leftovers = [Hypothesis(tokens=tuple(t), logprob=float(c))
                  for t, c in zip(tokens.tolist(), cum)]
     leftovers.sort(key=lambda h: (-h.score(), h.tokens))
     return BeamResult(hypotheses=leftovers[:width], truncated=True)

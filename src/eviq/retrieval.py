@@ -58,14 +58,9 @@ class EvidenceItem:
     tokens: tuple
     score: float
 
-    @property
-    def is_empty(self) -> bool:
-        return self.doc_id == EMPTY_DOC_ID
-
 
 @dataclass(frozen=True)
 class EvidenceSet:
-    event: str
     items: tuple  # retrieved items in rank order, empty placeholder last
 
     @property
@@ -235,8 +230,8 @@ class InvertedIndex:
     def event_query(self, event: str) -> list[str]:
         return [t for t in tokenize(event) if t not in STOPWORDS]
 
-    def evidence_set(self, event: str, hits) -> EvidenceSet:
-        """The event's (doc id, score) hits as items, empty placeholder last.
+    def evidence_set(self, hits) -> EvidenceSet:
+        """The (doc id, score) hits as items, empty placeholder last.
 
         Each item carries its doc's tokens cut to MAX_EVIDENCE_TOKENS.
         """
@@ -244,7 +239,7 @@ class InvertedIndex:
                               tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]))
                  for d, s in hits]
         items.append(EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), score=0.0))
-        return EvidenceSet(event=event, items=tuple(items))
+        return EvidenceSet(items=tuple(items))
 
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
         """Top-k positive-scoring paragraphs for the event, plus the empty slot.
@@ -270,8 +265,7 @@ class InvertedIndex:
             keep = top >= np.partition(top, len(top) - k)[len(top) - k]
             cand, top = cand[keep], top[keep]
         order = np.lexsort((cand, -top))[:k]
-        return self.evidence_set(
-            event, zip(cand[order].tolist(), top[order].tolist()))
+        return self.evidence_set(zip(cand[order].tolist(), top[order].tolist()))
 
 
 def _parse_record(line: bytes, n_docs: int):
@@ -300,20 +294,19 @@ def _parse_record(line: bytes, n_docs: int):
 class RetrievalCache:
     """Per-(index, k) retrieval memo, optionally persisted one record a line.
 
-    The cache directory comes from the EVIQ_CACHE_DIR environment variable
-    unless given explicitly; with neither, the cache is memory-only.
+    Records persist in a file under cache_dir; without one the cache is
+    memory-only.
     """
 
     def __init__(self, index: InvertedIndex, k: int, cache_dir=None):
         self.index = index
         self.k = k
         self._memo: dict[str, EvidenceSet] = {}
-        base = cache_dir if cache_dir is not None else os.environ.get("EVIQ_CACHE_DIR")
         self.path = None
-        if base:
-            Path(base).mkdir(parents=True, exist_ok=True)
+        if cache_dir:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
             name = f"retrieval-{index.fingerprint()[:16]}-k{k}-v2.txt"
-            self.path = Path(base) / name
+            self.path = Path(cache_dir) / name
             self._load()
 
     def _load(self) -> None:
@@ -339,7 +332,7 @@ class RetrievalCache:
                 event, hits = _parse_record(line, n_docs)
             except ValueError as e:
                 raise IndexError_(f"{self.path} line {n}: {e}") from None
-            self._memo[event] = self.index.evidence_set(event, hits)
+            self._memo[event] = self.index.evidence_set(hits)
 
     def get(self, event: str) -> EvidenceSet:
         hit = self._memo.get(event)

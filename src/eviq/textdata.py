@@ -52,7 +52,6 @@ class Vocab:
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
         if len(self.token_to_id) != len(tokens):
             raise DatasetError("vocab contains duplicate tokens")
-        self.pad_id = self.token_to_id[PAD]
         self.unk_id = self.token_to_id[UNK]
         self.bos_id = self.token_to_id[BOS]
         self.eos_id = self.token_to_id[EOS]
@@ -94,7 +93,6 @@ class Vocab:
 class Example:
     event_raw: str
     dimension: str
-    inference_raw: str
     event_tokens: tuple
     inference_tokens: tuple
 
@@ -108,10 +106,6 @@ class EventGroup:
     key: str
     members: list
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 def make_example(event: str, dimension: str, inference: str) -> Example:
     if dimension not in DIMENSIONS:
@@ -123,7 +117,6 @@ def make_example(event: str, dimension: str, inference: str) -> Example:
     return Example(
         event_raw=event,
         dimension=dimension,
-        inference_raw=inference,
         event_tokens=tuple(tokenize(event)[:MAX_EVENT_TOKENS]),
         inference_tokens=inf_tokens,
     )

@@ -135,19 +135,18 @@ def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path) -> Non
     Files: dataset.jsonl (all records), train.jsonl, dev.jsonl, corpus.txt,
     meta.jsonl (header line, then one record per event with its planted
     ground truth).  Same seed, same arguments: byte-identical output.
+    Arguments are checked before anything is created or written.
     """
-    if n_clusters < 2:
-        raise ValueError("n_clusters must be >= 2")
+    if n_events < 1:
+        raise ValueError(f"n_events must be >= 1, got {n_events}")
+    if not 2 <= n_clusters <= len(CLUSTER_THEMES):
+        raise ValueError(f"n_clusters must be in 2..{len(CLUSTER_THEMES)}, "
+                         f"got {n_clusters}")
     rng = np.random.default_rng([seed, 0x70])
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
 
-    themes = list(CLUSTER_THEMES)
-    while len(themes) < n_clusters:
-        i = len(themes) - len(CLUSTER_THEMES) + 2
-        name, words = CLUSTER_THEMES[len(themes) % len(CLUSTER_THEMES)]
-        themes.append((f"{name}{i}", tuple(f"{w}{i}" for w in words)))
-    themes = themes[:n_clusters]
+    themes = CLUSTER_THEMES[:n_clusters]
     inventories = [_cluster_phrases(words, rng) for _, words in themes]
 
     verbs = _extend(EVENT_VERBS, n_events)

@@ -9,10 +9,12 @@ projections, layer norm, feed-forward, dropout and residuals each run once
 over every sequence.  Only attention sees the sequence boundaries: it is
 handed the sequence lengths and the causal flag and builds its own mask, so
 no query attends across sequences and none looks ahead in a causal stack.
-The single-sequence entry points are the one-sequence case of the batched
-ones.  Incremental decoding runs the same forward with a KVCache: each
-layer's attention then reads the keys and values of earlier positions from
-the cache instead of recomputing them, and adds its own.
+The encoder packs a batch of sequences, and encoder_forward is its
+one-sequence case; the decoder forward takes one sequence, as every caller
+decodes one at a time.  Incremental decoding runs the same forward with a
+KVCache over the live hypotheses of a beam, packed one new token apiece:
+each layer's attention then reads the keys and values of earlier positions
+from the cache instead of recomputing them, and adds its own.
 """
 
 from __future__ import annotations
@@ -247,20 +249,9 @@ def decoder_forward(params: dict, config: TransformerConfig, token_ids,
     into every input embedding, into every projected query, key and value,
     and into every top-layer hidden row before the tied output projection.
     """
-    return batch_decoder_forward(params, config, [token_ids], z, train, rng)
-
-
-def batch_decoder_forward(params: dict, config: TransformerConfig, seqs,
-                          z: Tensor | None = None, train: bool = False,
-                          rng=None) -> Tensor:
-    """Causal pass over several sequences packed end to end.
-
-    Returns logits (sum of lengths, vocab), sequence after sequence.  z,
-    when given, is one (1, d_model) latent row shared by every packed row.
-    """
     if not config.causal:
         raise ValueError("decoder forward needs a causal config")
-    h = _forward(params, config, seqs, z, train, rng)
+    h = _forward(params, config, [token_ids], z, train, rng)
     if z is not None:
         h = add(h, z)
     return matmul_nt(h, params["tok_emb"])

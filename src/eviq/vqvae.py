@@ -1,12 +1,16 @@
 """Discrete latent machinery: codebook, nearest-code assignment, losses.
 
-An encoder vector is snapped to its nearest codebook row; the decoder
-consumes the row through a straight-through substitution so reconstruction
-gradients reach the encoder unchanged.  The codebook itself learns only by
-chasing encoder vectors; the encoder additionally pays a commitment penalty
-for drifting from its assigned row.  A separate classifier head learns, per
-event, to match the relative frequencies with which that event's examples
-landed on each code.
+One distance rule serves both of EGG's discrete choices: nearest_row finds
+the row nearest a query by Euclidean distance, lowest index on ties, both
+for the codebook row of an encoder vector here and for the evidence
+paragraph of a code row in evidence.select_evidence.  An encoder vector is
+snapped to its nearest codebook row; the decoder consumes the row through a
+straight-through substitution so reconstruction gradients reach the encoder
+unchanged.  The codebook itself learns only by chasing encoder vectors; the
+encoder additionally pays a commitment penalty for drifting from its
+assigned row.  Both pulls are autodiff.squared_distance to a frozen copy of
+the other side.  A separate classifier head learns, per event, to match the
+relative frequencies with which that event's examples landed on each code.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from .autodiff import (
     matmul,
     scale,
     softmax_lastdim,
-    squared_norm,
-    sub,
+    squared_distance,
 )
 from .transformer import TransformerConfig, encoder_forward
 
@@ -53,20 +56,36 @@ class NearestCode:
     index: int
     row: np.ndarray            # (1, width), copy of the winning code
     enc_snapshot: np.ndarray   # (1, width), copy of the encoder vector
-    distance: float
+
+
+def nearest_row(rows: np.ndarray, x) -> int:
+    """Index of the row of (n, width) rows nearest x by Euclidean distance.
+
+    Ties go to the lowest index.  A non-finite squared distance raises
+    NumericError: NaN compares false with everything, so argmin would pick
+    whatever row the NaN happens to sit at.
+    """
+    x = np.asarray(x).reshape(-1)
+    if x.shape[0] != rows.shape[1]:
+        raise ShapeError(f"query width {x.shape[0]} != row width {rows.shape[1]}")
+    diff = rows - x
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    bad = np.flatnonzero(~np.isfinite(d2))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericError(f"squared distance to row {j} is {d2[j]}: the "
+                           "query or that row is not finite")
+    return int(np.argmin(d2))
 
 
 def assign_to_nearest_code(codebook: Tensor, enc_vec: Tensor) -> NearestCode:
-    """Nearest row by Euclidean distance; ties go to the lowest index."""
+    """Nearest codebook row to the (1, width) encoder vector, by nearest_row."""
     if enc_vec.shape != (1, codebook.shape[1]):
         raise ShapeError(f"encoder vector shape {enc_vec.shape}, "
                          f"want (1, {codebook.shape[1]})")
-    diff = codebook.data - enc_vec.data
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    j = int(np.argmin(d2))
+    j = nearest_row(codebook.data, enc_vec.data)
     return NearestCode(index=j, row=codebook.data[j:j + 1].copy(),
-                       enc_snapshot=enc_vec.data.copy(),
-                       distance=float(np.sqrt(d2[j])))
+                       enc_snapshot=enc_vec.data.copy())
 
 
 def straight_through(enc_vec: Tensor, nearest: NearestCode) -> Tensor:
@@ -91,8 +110,8 @@ def quantization_loss(enc_vec: Tensor, codebook: Tensor, nearest: NearestCode,
     if recon_nll.shape != ():
         raise ShapeError(f"recon_nll must be scalar, got {recon_nll.shape}")
     live_row = gather_rows(codebook, np.array([nearest.index]))
-    codebook_pull = squared_norm(sub(constant(nearest.enc_snapshot), live_row))
-    commitment = squared_norm(sub(enc_vec, constant(nearest.row)))
+    codebook_pull = squared_distance(live_row, nearest.enc_snapshot)
+    commitment = squared_distance(enc_vec, nearest.row)
     return add_n([recon_nll, codebook_pull, scale(commitment, COMMIT_WEIGHT)])
 
 
@@ -152,12 +171,3 @@ def kl_divergence(target: np.ndarray, model: Tensor) -> Tensor:
         accumulate_new(model, d.reshape(model.shape) * gs)
 
     return custom_op(np.array(val), back)
-
-
-def code_utilization(code_indices, n_codes: int) -> np.ndarray:
-    counts = np.zeros(n_codes, dtype=np.int64)
-    for idx in code_indices:
-        if not 0 <= idx < n_codes:
-            raise ValueError(f"code index {idx} outside 0..{n_codes - 1}")
-        counts[idx] += 1
-    return counts

@@ -149,7 +149,7 @@ def test_causal_mask_attention_weights_exactly_zero():
         q, k, v = ad.Tensor(q0), ad.Tensor(k0), ad.Tensor(v0)
         with ad.tape() as t:
             out = ad.multihead_attention(q, k, v, heads, causal=True)
-            loss = ad.squared_norm(ad.gather_rows(out, [i]))
+            loss = ad.squared_distance(ad.gather_rows(out, [i]), np.zeros((1, d)))
         t.backward(loss)
         assert np.all(k.grad[i + 1:] == 0.0)
         assert np.all(v.grad[i + 1:] == 0.0)
@@ -182,32 +182,65 @@ def test_stop_gradient_blocks_backward_exactly():
     x = ad.Tensor(_rng(5).normal(size=(2, 4)))
     y = ad.Tensor(_rng(6).normal(size=(2, 4)))
     with ad.tape() as t:
-        loss = ad.squared_norm(ad.sub(ad.constant(x.data), y))
+        loss = ad.squared_distance(ad.add(ad.constant(x.data), y),
+                                   np.zeros((2, 4)))
     t.backward(loss)
     assert x.grad is None
     assert y.grad is not None and np.any(y.grad != 0.0)
 
 
+def test_squared_distance_is_bitwise_the_sub_then_squared_norm_arithmetic():
+    # the expressions of the sub and squared_norm ops it replaced; the
+    # upstream gradient 2.5 stands in for a scale after the distance
+    rng = _rng(17)
+    x = ad.Tensor(rng.normal(size=(1, 7)))
+    row = rng.normal(size=(1, 7))
+    with ad.tape() as t:
+        loss = ad.squared_distance(x, row)
+        out = ad.scale(loss, 2.5)
+    t.backward(out)
+    d = x.data - row
+    assert _bits(loss.item()) == _bits(float((d * d).sum()))
+    assert np.array_equal(_bits(x.grad), _bits((2.0 * 2.5) * d))
+    # into a gathered codebook row, the frozen side first as the codebook
+    # pull wrote it: sub(snapshot, row) scaled, then negated into the row
+    codebook = ad.Tensor(rng.normal(size=(5, 7)))
+    snapshot = rng.normal(size=(1, 7))
+    with ad.tape() as t:
+        loss = ad.squared_distance(ad.gather_rows(codebook, [3]), snapshot)
+        out = ad.scale(loss, 2.5)
+    t.backward(out)
+    d = snapshot - codebook.data[3:4]
+    want = np.zeros((5, 7))
+    want[3] = -((2.0 * 2.5) * d)[0]
+    assert _bits(loss.item()) == _bits(float((d * d).sum()))
+    assert np.array_equal(_bits(codebook.grad), _bits(want))
+
+
+def test_squared_distance_rejects_shape_mismatch():
+    with pytest.raises(ad.ShapeError):
+        ad.squared_distance(ad.Tensor(np.zeros((1, 3))), np.zeros(3))
+
+
 # --- finite-difference checks for every primitive --------------------------
 
 def _scalarize(out, const):
-    return ad.squared_norm(ad.sub(out, ad.constant(const)))
+    return ad.squared_distance(out, const)
 
 
 @pytest.mark.parametrize("op", [
-    "add", "sub", "add_n", "scale", "add_row_broadcast", "matmul", "matmul_nt",
-    "affine", "gather_rows", "softmax", "layer_norm", "gelu", "squared_norm",
+    "add", "add_n", "scale", "add_row_broadcast", "matmul", "matmul_nt",
+    "affine", "gather_rows", "softmax", "layer_norm", "gelu", "squared_distance",
     "cross_entropy", "attention", "attention_causal", "attention_segments",
     "attention_segments_causal",
 ])
 def test_primitive_gradients_match_finite_differences(op):
     rng = _rng(zlib.crc32(op.encode()))
-    if op in ("add", "sub", "add_n"):
+    if op in ("add", "add_n"):
         params = {"a": ad.Tensor(rng.normal(size=(3, 4))),
                   "b": ad.Tensor(rng.normal(size=(3, 4)))}
         tgt = rng.normal(size=(3, 4))
         fn = {"add": lambda: ad.add(params["a"], params["b"]),
-              "sub": lambda: ad.sub(params["a"], params["b"]),
               "add_n": lambda: ad.add_n([params["a"], params["b"], params["a"]])}[op]
         def build():
             with ad.tape() as t:
@@ -275,11 +308,12 @@ def test_primitive_gradients_match_finite_differences(op):
             with ad.tape() as t:
                 loss = _scalarize(ad.gelu(params["x"]), tgt)
             return t, loss
-    elif op == "squared_norm":
+    elif op == "squared_distance":
         params = {"x": ad.Tensor(rng.normal(size=(3, 3)))}
+        row = rng.normal(size=(3, 3))
         def build():
             with ad.tape() as t:
-                loss = ad.squared_norm(params["x"])
+                loss = ad.squared_distance(params["x"], row)
             return t, loss
     elif op == "cross_entropy":
         params = {"x": ad.Tensor(rng.normal(size=(5, 7)))}
@@ -324,7 +358,7 @@ def test_shared_input_accumulates_both_paths():
 def test_backward_twice_raises():
     x = ad.Tensor(np.ones((2, 2)))
     with ad.tape() as t:
-        loss = ad.squared_norm(x)
+        loss = ad.squared_distance(x, np.zeros((2, 2)))
     t.backward(loss)
     with pytest.raises(RuntimeError):
         t.backward(loss)
@@ -333,19 +367,19 @@ def test_backward_twice_raises():
 def test_record_on_frozen_tape_raises():
     x = ad.Tensor(np.ones((2, 2)))
     with ad.tape() as t:
-        loss = ad.squared_norm(x)
+        loss = ad.squared_distance(x, np.zeros((2, 2)))
         t.backward(loss)
         with pytest.raises(RuntimeError):
-            ad.squared_norm(x)
+            ad.squared_distance(x, np.zeros((2, 2)))
 
 
 def test_no_tape_suspends_recording():
     x = ad.Tensor(np.ones((2, 2)))
     with ad.tape() as t:
         with ad.no_tape():
-            ad.squared_norm(x)
+            ad.squared_distance(x, np.zeros((2, 2)))
         assert len(t.nodes) == 0
-        loss = ad.squared_norm(x)
+        loss = ad.squared_distance(x, np.zeros((2, 2)))
     t.backward(loss)
     assert x.grad is not None
 

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eviq.autodiff import Tensor, no_tape, tape
+from eviq.autodiff import NumericError, Tensor, no_tape, tape
 from eviq import evidence as ev
 from eviq import textdata as td
 from eviq import transformer as tf
 from eviq import vqvae as vq
-from eviq.retrieval import InvertedIndex
+from eviq.retrieval import EMPTY_DOC_ID, InvertedIndex
 from eviq.textdata import Vocab
 from eviq.toydata import make_toy_dataset
 
@@ -88,6 +88,21 @@ def test_select_tie_breaks_lowest_index():
     assert idx == 0
 
 
+@pytest.mark.parametrize("where", ["code", "context"])
+def test_select_rejects_non_finite_distance(setup, where):
+    # the same check as code assignment: unchecked, a NaN context row
+    # would win and a NaN code row would pick item 0
+    *_, ctx = setup
+    code = ctx.vectors[1].copy()
+    if where == "code":
+        code[0] = np.nan
+    else:
+        ctx = replace(ctx, vectors=ctx.vectors.copy())
+        ctx.vectors[2, 3] = np.nan
+    with pytest.raises(NumericError, match="row 0" if where == "code" else "row 2"):
+        ev.select_evidence(ctx, code)
+
+
 def test_select_permutation_of_other_rows_keeps_choice(setup):
     *_, ctx = setup
     z = np.random.default_rng(2).normal(0, 0.5, size=ctx.vectors.shape[1])
@@ -115,7 +130,7 @@ def test_only_placeholder_gets_selected():
                             np.random.default_rng(4))
     ctx = ev.encode_evidence(params, cfg, evidence, vocab)
     sel, item = ev.select_evidence(ctx, np.zeros(8))
-    assert sel == 0 and item.is_empty
+    assert sel == 0 and item.doc_id == EMPTY_DOC_ID
 
 
 def test_reward_rule():

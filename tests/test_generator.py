@@ -35,7 +35,6 @@ def test_assembly_layout(setup):
             + _ids(vocab, "beta", "gamma") + [vocab.dim_id("xIntent")]
             + [vocab.bos_id] + _ids(vocab, "delta"))
     assert asm.input_ids.tolist() == want
-    assert asm.prefix_len == 6
     # the BOS position predicts the first target token, the target's last
     # position predicts the end marker; nothing else is scored
     assert asm.target_mask.tolist() == [0, 0, 0, 0, 0, 1, 1]
@@ -101,7 +100,7 @@ def test_sequence_logprob_equals_stepwise_product(setup):
     with no_tape():
         logits = tf.decoder_forward(params, cfg, asm.input_ids).data
     product = 1.0
-    pos = asm.prefix_len - 1
+    pos = len(asm.input_ids) - len(y)   # the begin marker predicts y[0]
     for step, tok in enumerate(y):
         row = logits[pos + step]
         p = np.exp(row - row.max()) / np.exp(row - row.max()).sum()
@@ -196,7 +195,7 @@ def test_beam_scores_match_recomputation(setup):
     res = gen.beam_search(params, cfg, vocab, ev, x, "xReact", width=4,
                           max_steps=6)
     for h in res.hypotheses:
-        if h.finished:
+        if h.tokens[-1] == vocab.eos_id:
             lp = gen.sequence_logprob(params, cfg, vocab, ev, x, "xReact",
                                       list(h.tokens))
             assert abs(lp - h.logprob) < 1e-10
@@ -239,10 +238,29 @@ def test_beam_truncation_flag():
                           vocab.encode(["a"]), "xIntent", width=2,
                           max_steps=3)
     if res.truncated:
-        assert all(not h.finished for h in res.hypotheses)
         assert all(len(h.tokens) == 3 for h in res.hypotheses)
-    else:  # pathological weights can still finish; determinism holds anyway
-        assert all(h.finished for h in res.hypotheses)
+    assert res.truncated == all(h.tokens[-1] != vocab.eos_id
+                                for h in res.hypotheses)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 8])
+def test_truncated_exactly_when_no_hypothesis_ends_with_end_marker(seed):
+    # every hypothesis of a finished search ends with the end marker and
+    # none of a truncated one does; the untouched model never finishes
+    # within 3 steps, the one with a likely end marker always does
+    seen = set()
+    for likely_end in (False, True):
+        vocab, cfg, params = _tiny_vocab_model(seed=seed)
+        if likely_end:
+            params["layers.0.ln2.b"].data[0] = 1.0
+            params["tok_emb"].data[vocab.eos_id] = 1.0 / cfg.d_model
+        res = gen.beam_search(params, cfg, vocab, [vocab.empty_id],
+                              vocab.encode(["a"]), "xIntent", width=3,
+                              max_steps=3)
+        ends = [h.tokens[-1] == vocab.eos_id for h in res.hypotheses]
+        assert ends and ends == [not res.truncated] * len(ends)
+        seen.add(res.truncated)
+    assert seen == {False, True}
 
 
 def test_beam_rejects_bad_arguments(setup):
@@ -274,8 +292,7 @@ def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps):
         for rank, (tokens, cum) in enumerate(expansions):
             if tokens[-1] == vocab.eos_id:
                 if rank < width:
-                    finished.append(gen.Hypothesis(tokens=tokens, logprob=cum,
-                                                   finished=True))
+                    finished.append(gen.Hypothesis(tokens=tokens, logprob=cum))
             elif len(active) < width:
                 active.append((tokens, cum))
         if not active or len(finished) >= width:
@@ -283,16 +300,15 @@ def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps):
     if finished:
         finished.sort(key=lambda h: (-h.score(), h.tokens))
         return gen.BeamResult(hypotheses=finished[:width], truncated=False)
-    leftovers = [gen.Hypothesis(tokens=t, logprob=c, finished=False)
-                 for t, c in active]
+    leftovers = [gen.Hypothesis(tokens=t, logprob=c) for t, c in active]
     leftovers.sort(key=lambda h: (-h.score(), h.tokens))
     return gen.BeamResult(hypotheses=leftovers[:width], truncated=True)
 
 
 def _assert_same_beam(got, want):
     assert got.truncated == want.truncated
-    assert [(h.tokens, h.finished) for h in got.hypotheses] \
-        == [(h.tokens, h.finished) for h in want.hypotheses]
+    assert [h.tokens for h in got.hypotheses] \
+        == [h.tokens for h in want.hypotheses]
     for g, w in zip(got.hypotheses, want.hypotheses):
         assert all(type(t) is int for t in g.tokens)
         assert abs(g.logprob - w.logprob) < 1e-10

@@ -81,14 +81,14 @@ def test_empty_placeholder_always_last(idx3):
     for query in ("cat", "zzz nothing matches"):
         ev = idx3.search_topk(query, k=3)
         last = ev.items[-1]
-        assert last.is_empty and last.doc_id == rt.EMPTY_DOC_ID
+        assert last.doc_id == rt.EMPTY_DOC_ID
         assert last.tokens == (EMPTY,)
-        assert not any(it.is_empty for it in ev.retrieved)
+        assert all(it.doc_id != rt.EMPTY_DOC_ID for it in ev.retrieved)
 
 
 def test_k_zero_yields_only_placeholder(idx3):
     ev = idx3.search_topk("cat", k=0)
-    assert len(ev.items) == 1 and ev.items[0].is_empty
+    assert len(ev.items) == 1 and ev.items[0].doc_id == rt.EMPTY_DOC_ID
 
 
 def test_negative_k_rejected(idx3):
@@ -100,7 +100,7 @@ def test_stopwords_dropped_from_event_query(idx3):
     assert idx3.event_query("The cat and the mat") == ["cat", "mat"]
     # an all-stopword event retrieves nothing but still gets the placeholder
     ev = idx3.search_topk("the and of", k=3)
-    assert len(ev.retrieved) == 0 and ev.items[-1].is_empty
+    assert len(ev.retrieved) == 0 and ev.items[-1].doc_id == rt.EMPTY_DOC_ID
 
 
 def test_stopword_list_pinned():
@@ -169,14 +169,13 @@ def test_build_from_toy_corpus_and_planted_doc_ranks_high(tmp_path):
             assert top1 == ev["planted_doc"]
 
 
-def test_retrieval_cache_hits_memo_and_disk(tmp_path, idx3, monkeypatch):
-    monkeypatch.setenv("EVIQ_CACHE_DIR", str(tmp_path / "cache"))
-    cache = rt.RetrievalCache(idx3, k=3)
+def test_retrieval_cache_hits_memo_and_disk(tmp_path, idx3):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path / "cache")
     a = cache.get("the cat")
     b = cache.get("the cat")
     assert [i.doc_id for i in a.items] == [i.doc_id for i in b.items]
     # a fresh cache instance must find the on-disk entries
-    cache2 = rt.RetrievalCache(idx3, k=3)
+    cache2 = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path / "cache")
     c = cache2.get("the cat")
     assert [i.doc_id for i in c.items] == [i.doc_id for i in a.items]
     assert [i.score for i in c.items] == [i.score for i in a.items]
@@ -375,4 +374,4 @@ def test_corpus_without_tokens_builds_and_searches(tmp_path):
         for index in (idx, rt.InvertedIndex.load(tmp_path / "blank.evqi")):
             assert index.postings == {}
             ev = index.search_topk("anything at all", k=3)
-            assert len(ev.items) == 1 and ev.items[0].is_empty
+            assert len(ev.items) == 1 and ev.items[0].doc_id == rt.EMPTY_DOC_ID

@@ -57,3 +57,34 @@ def test_builtin_hash_check_flags_a_salted_seed():
                      "    a = zlib.crc32(op.encode())\n"
                      "    return hash(op) % 2 ** 32, a, obj.hash(op)\n")
     assert _builtin_hash_calls(tree) == ["line 4"]
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    # a knob read from the environment changes behaviour without a
+    # parameter saying so; settings go through arguments instead
+    found = []
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv")
+                and isinstance(n.value, ast.Name) and n.value.id == "os"):
+            found.append((n.lineno, n.attr))
+        elif isinstance(n, ast.ImportFrom) and n.module == "os":
+            found += [(n.lineno, a.name) for a in n.names
+                      if a.name in ("environ", "getenv")]
+    return [f"line {line}: os.{name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_reads_the_environment(path):
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_check_flags_each_way_of_reading():
+    tree = ast.parse("import os\n"
+                     "from os import getenv\n"
+                     "a = os.environ.get('X')\n"
+                     "b = os.getenv('Y', '')\n"
+                     "c = os.environ['Z']\n"
+                     "d = os.confstr('CS_GNU_LIBC_VERSION'), env.environ\n")
+    assert _environment_reads(tree) == [
+        "line 2: os.getenv", "line 3: os.environ", "line 4: os.getenv",
+        "line 5: os.environ"]

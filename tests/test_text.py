@@ -78,7 +78,7 @@ def test_load_dataset_three_inferences_one_group(tmp_path):
                              "inferences": ["rested", "calm", "groggy"]}) + "\n")
     examples, groups = td.load_dataset(p)
     assert len(examples) == 3
-    assert len(groups) == 1 and groups[0].size == 3
+    assert len(groups) == 1 and len(groups[0].members) == 3
 
 
 def test_load_dataset_malformed_line_names_line_number(tmp_path):
@@ -109,7 +109,7 @@ def test_truncation_limits():
 def test_group_sizes_sum_to_example_count(tmp_path):
     make_toy_dataset(3, 12, 3, tmp_path)
     examples, groups = td.load_dataset(tmp_path / "dataset.jsonl")
-    assert sum(g.size for g in groups) == len(examples)
+    assert sum(len(g.members) for g in groups) == len(examples)
 
 
 # --- toy dataset -----------------------------------------------------------
@@ -174,5 +174,17 @@ def test_toy_split_covers_every_cluster(tmp_path):
 
 
 def test_toy_rejects_too_few_clusters(tmp_path):
-    with pytest.raises(ValueError):
-        make_toy_dataset(1, 8, 1, tmp_path)
+    with pytest.raises(ValueError, match="n_clusters"):
+        make_toy_dataset(1, 8, 1, tmp_path / "toy")
+    assert not (tmp_path / "toy").exists()
+
+
+@pytest.mark.parametrize("n_events, n_clusters, what", [
+    (0, 3, "n_events"), (-2, 3, "n_events"), (8, 9, "n_clusters"),
+], ids=["no-events", "negative-events", "more-clusters-than-themes"])
+def test_toy_rejects_bad_arguments_before_writing(tmp_path, n_events,
+                                                  n_clusters, what):
+    # unchecked, no events divides by zero once every data file is written
+    with pytest.raises(ValueError, match=what):
+        make_toy_dataset(1, n_events, n_clusters, tmp_path / "toy")
+    assert not (tmp_path / "toy").exists()

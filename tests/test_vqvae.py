@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from eviq.autodiff import (
-    NumericError, ShapeError, Tensor, affine, constant, cross_entropy,
-    softmax_lastdim, squared_norm, sub, tape,
+    NumericError, ShapeError, Tensor, affine, cross_entropy, gather_rows,
+    softmax_lastdim, squared_distance, tape,
 )
 from eviq import vqvae as vq
 from eviq import transformer as tf
@@ -26,15 +26,38 @@ def test_assign_exact_row_hit():
     for j in (0, 3, 7):
         near = vq.assign_to_nearest_code(cb, Tensor(cb.data[j:j + 1].copy()))
         assert near.index == j
-        assert near.distance == 0.0
         assert np.array_equal(near.row, cb.data[j:j + 1])
 
 
 def test_assign_hand_worked_distances():
+    # squared distances 0.05 and 1.45, then 0.85 and 0.25
     cb = Tensor(np.array([[0.0, 0.0], [1.0, 1.0]]))
     near = vq.assign_to_nearest_code(cb, Tensor(np.array([[0.1, 0.2]])))
     assert near.index == 0
-    assert near.distance == pytest.approx(math.sqrt(0.01 + 0.04), abs=1e-12)
+    near = vq.assign_to_nearest_code(cb, Tensor(np.array([[0.7, 0.6]])))
+    assert near.index == 1
+
+
+def test_assign_rejects_non_finite_encoder_vector():
+    # argmin returns the first NaN it meets, so unchecked an all-NaN
+    # vector would land on code 0
+    cb = vq.init_codebook(4, 3, np.random.default_rng(1))
+    with pytest.raises(NumericError, match="row 0"):
+        vq.assign_to_nearest_code(cb, Tensor(np.full((1, 3), np.nan)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assign_rejects_non_finite_codebook_row(bad):
+    # unchecked, a NaN row would win against every finite row
+    cb = vq.init_codebook(4, 3, np.random.default_rng(1))
+    cb.data[2, 1] = bad
+    with pytest.raises(NumericError, match="row 2"):
+        vq.assign_to_nearest_code(cb, Tensor(cb.data[0:1].copy()))
+
+
+def test_nearest_row_rejects_width_mismatch():
+    with pytest.raises(ShapeError):
+        vq.nearest_row(np.zeros((4, 3)), np.zeros(2))
 
 
 def test_assign_matches_brute_force_scan():
@@ -85,7 +108,7 @@ def test_straight_through_gradient_is_identity():
     near = vq.assign_to_nearest_code(cb, vec)
     with tape() as t:
         out = vq.straight_through(vec, near)
-        loss = squared_norm(sub(out, constant(np.ones((1, 3)))))
+        loss = squared_distance(out, np.ones((1, 3)))
     t.backward(loss)
     # d loss / d latent-input, evaluated at the row, handed to vec unchanged
     want = 2.0 * (near.row - 1.0)
@@ -133,9 +156,8 @@ def test_gradient_routing_analytic_identities():
     # codebook-pull term alone: no encoder, no decoder gradient, exactly
     cb, vec, w, b, near = _tiny_recon_setup()
     with tape() as t:
-        from eviq.autodiff import gather_rows
         live = gather_rows(cb, np.array([near.index]))
-        loss = squared_norm(sub(constant(vec.data), live))
+        loss = squared_distance(live, vec.data.copy())
     t.backward(loss)
     assert vec.grad is None and w.grad is None
     want = 2.0 * (cb.data[near.index] - vec.data[0])
@@ -146,7 +168,7 @@ def test_gradient_routing_analytic_identities():
     # commitment term alone: no codebook, no decoder gradient, exactly
     cb, vec, w, b, near = _tiny_recon_setup()
     with tape() as t:
-        loss = squared_norm(sub(vec, constant(near.row)))
+        loss = squared_distance(vec, near.row)
     t.backward(loss)
     assert cb.grad is None and w.grad is None
     assert np.allclose(vec.grad, 2.0 * (vec.data - near.row), atol=1e-15)
@@ -314,15 +336,3 @@ def test_kl_gradient_through_softmax():
     worst = check_grads(build, {"logits": logits}, np.random.default_rng(16),
                         coords_per_tensor=5)
     assert worst < 1e-4
-
-
-def test_code_utilization_counts():
-    counts = vq.code_utilization([0, 2, 2, 5], 8)
-    assert counts.tolist() == [1, 0, 2, 0, 0, 1, 0, 0]
-
-
-@pytest.mark.parametrize("bad", [-1, 4])
-def test_code_utilization_rejects_bad_index(bad):
-    # -1 used to count into the last code; n_codes raised a bare IndexError
-    with pytest.raises(ValueError, match="outside 0..3"):
-        vq.code_utilization([0, bad], 4)
