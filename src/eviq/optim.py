@@ -27,11 +27,19 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 5e-5) -> 
     """One bias-corrected Adam update, in place on param.data.
 
     Moment decays 0.9 and 0.999, epsilon 1e-8.  A parameter with no gradient
-    is left untouched.  Any non-finite gradient aborts the whole step before
+    is left untouched.  A gradient or stored moment whose shape is not its
+    parameter's, or any non-finite gradient, aborts the whole step before
     anything is mutated, naming the parameter.
     """
     for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
+        if p.grad is None:
+            continue
+        for what, arr in (("gradient", p.grad), ("first moment", state.m.get(name)),
+                          ("second moment", state.v.get(name))):
+            if arr is not None and arr.shape != p.data.shape:
+                raise OptimError(f"{what} of shape {arr.shape} for parameter "
+                                 f"{name!r} of shape {p.data.shape}")
+        if not np.isfinite(p.grad).all():
             raise OptimError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step

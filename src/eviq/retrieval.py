@@ -7,9 +7,12 @@ evidence".  Okapi parameters k1=1.2, b=0.75 with the +1-inside-log idf.
 The postings are one flat (nnz, 2) little-endian uint32 array of (doc id, tf)
 rows, term by term in sorted term order, doc ids ascending within a term; the
 per-term views of it are what the index keeps, saves and loads in one block.
-A search adds each query term's BM25 contribution into a dense per-doc score
-array and ranks by (score desc, doc id asc), the same floating-point
-operations in the same order as the scalar `bm25_score`.
+Each build or load also computes every posting's BM25 weight once,
+idf * tf * (k1 + 1) / (tf + norm), with the float operations of the scalar
+`bm25_score` in its order.  A search sums its query terms' weights per doc
+with one `np.bincount`, which adds each doc's weights in query-term order
+starting from 0.0, as `bm25_score` does, so every score equals it to the
+bit.  Ranking is (score desc, doc id asc).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +56,10 @@ class IndexError_(ValueError):
     pass
 
 
+def _idf(n_docs: int, df: int) -> float:
+    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+
+
 @dataclass(frozen=True)
 class EvidenceItem:
     doc_id: int
@@ -68,20 +76,24 @@ class EvidenceSet:
         return self.items[:-1]
 
 
+_PLACEHOLDER = EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), score=0.0)
+
+
 class InvertedIndex:
     """Immutable BM25 index: doc store, postings, lengths, average length.
 
     Every posting is a (doc id, tf) row of one flat ``(nnz, 2)`` little-endian
     uint32 array, grouped by term in sorted term order, doc ids ascending
     within a term.  ``postings`` maps each term, in that order, to its
-    read-only ``(df, 2)`` view of the array.
+    read-only ``(df, 2)`` view of the array.  ``doc_tokens`` holds each
+    doc's tokens as a tuple.
     """
 
     def __init__(self, raw_docs: list[str]):
         if not raw_docs:
             raise IndexError_("corpus is empty, nothing to index")
         self.raw_docs = list(raw_docs)
-        self.doc_tokens = [tokenize(d) for d in self.raw_docs]
+        self.doc_tokens = [tuple(tokenize(d)) for d in self.raw_docs]
         term_ids: dict[str, int] = {}
         tids, docs, tfs = [], [], []
         for doc_id, toks in enumerate(self.doc_tokens):
@@ -100,19 +112,28 @@ class InvertedIndex:
         self._set_postings(terms, np.bincount(term_rank, minlength=len(terms)), flat)
 
     def _set_postings(self, terms: list, df, flat) -> None:
-        """Attach the postings array; derive doc lengths and BM25 length norms."""
+        """Attach the postings array; derive doc lengths and posting weights."""
         self.n_docs = len(self.raw_docs)
         self.doc_lengths = [len(t) for t in self.doc_tokens]
         self.avg_doc_length = sum(self.doc_lengths) / self.n_docs
         flat.flags.writeable = False
         self._postings = flat
-        ends = np.cumsum(df, dtype=np.int64).tolist()
-        self.postings = {t: flat[a:b] for t, a, b in zip(terms, [0] + ends, ends)}
+        # term i of the sorted terms holds postings bounds[i]:bounds[i + 1]
+        self._terms = terms
+        self._bounds = [0] + np.cumsum(df, dtype=np.int64).tolist()
+        self.postings = {t: flat[a:b] for t, a, b in
+                         zip(terms, self._bounds, self._bounds[1:])}
         # K1 * (1 - B + B * dl / avgdl), the same float ops bm25_score makes;
         # a corpus with no tokens has no postings, so its norm is never read
         dl = np.asarray(self.doc_lengths, dtype=np.float64)
-        self._norm = (K1 * (1.0 - B + B * dl / self.avg_doc_length)
-                      if self.avg_doc_length else np.zeros(self.n_docs))
+        norm = (K1 * (1.0 - B + B * dl / self.avg_doc_length)
+                if self.avg_doc_length else np.zeros(self.n_docs))
+        # idf comes from math.log, as in idf(), once per distinct df; the
+        # weight is bm25_score's term expression in its operation order
+        dfs, inverse = np.unique(df, return_inverse=True)
+        term_idf = np.array([_idf(self.n_docs, d) for d in dfs.tolist()])[inverse]
+        tf = flat[:, 1].astype(np.float64)
+        self._weights = np.repeat(term_idf, df) * tf * (K1 + 1.0) / (tf + norm[flat[:, 0]])
 
     @classmethod
     def build(cls, corpus_path) -> "InvertedIndex":
@@ -185,7 +206,7 @@ class InvertedIndex:
             raise bad("terms are not unique and sorted")
         idx = cls.__new__(cls)
         idx.raw_docs = raw_docs
-        idx.doc_tokens = [tokenize(d) for d in raw_docs]
+        idx.doc_tokens = [tuple(tokenize(d)) for d in raw_docs]
         if not np.array_equal(np.bincount(docs, weights=tf, minlength=n_docs),
                               [len(t) for t in idx.doc_tokens]):
             raise bad("postings disagree with the doc texts' token counts")
@@ -203,8 +224,7 @@ class InvertedIndex:
     # --- scoring -----------------------------------------------------------
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        return _idf(self.n_docs, len(self.postings.get(term, ())))
 
     def bm25_score(self, query_terms, doc_id: int) -> float:
         """Okapi BM25 of one document; absent terms contribute zero.
@@ -231,39 +251,45 @@ class InvertedIndex:
         return [t for t in tokenize(event) if t not in STOPWORDS]
 
     def evidence_set(self, hits) -> EvidenceSet:
-        """The (doc id, score) hits as items, empty placeholder last.
+        """The (doc id, score) hits as items, the shared empty placeholder last.
 
-        Each item carries its doc's tokens cut to MAX_EVIDENCE_TOKENS.
+        Each item carries its doc's token tuple cut to MAX_EVIDENCE_TOKENS,
+        which for a doc within the cap is the doc's own tuple, not a copy.
         """
-        items = [EvidenceItem(doc_id=d, score=s,
-                              tokens=tuple(self.doc_tokens[d][:MAX_EVIDENCE_TOKENS]))
+        items = [EvidenceItem(d, self.doc_tokens[d][:MAX_EVIDENCE_TOKENS], s)
                  for d, s in hits]
-        items.append(EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), score=0.0))
+        items.append(_PLACEHOLDER)
         return EvidenceSet(items=tuple(items))
 
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
         """Top-k positive-scoring paragraphs for the event, plus the empty slot.
 
-        Each query term, repeats included, adds its BM25 term into a dense
-        per-doc score array through its postings view, so only candidate docs
-        are touched and every score equals bm25_score's to the bit.  Ranking
-        is (score desc, doc id asc); ties at the k-th rank are cut by doc id.
+        The doc ids and precomputed weights of each query term's postings,
+        repeats included, are concatenated in query order and summed per doc
+        by one bincount, so each score is bm25_score's sum to the bit.  When
+        more than k docs score, the k-th largest score is the threshold and
+        every doc reaching it is a candidate.  Ranking is (score desc, doc id
+        asc); ties at the k-th rank are cut by doc id.
         """
         if k < 0:
             raise IndexError_(f"k must be >= 0, got {k}")
-        scores = np.zeros(self.n_docs)
-        for term in self.event_query(event):
-            plist = self.postings.get(term)
-            if plist is None:
-                continue
-            docs, tf = plist[:, 0], plist[:, 1]
-            scores[docs] += self.idf(term) * tf * (K1 + 1.0) / (tf + self._norm[docs])
-        cand = np.flatnonzero(scores > 0.0)
+        # each query term's row in the sorted terms, repeats included
+        rows = [bisect_left(self._terms, t) for t in self.event_query(event)
+                if t in self.postings]
+        if not rows:
+            return self.evidence_set(())
+        spans = [slice(self._bounds[i], self._bounds[i + 1]) for i in rows]
+        scores = np.bincount(np.concatenate([self._postings[s, 0] for s in spans]),
+                             np.concatenate([self._weights[s] for s in spans]),
+                             minlength=self.n_docs)
+        # weights are positive, so a doc scores above zero exactly when it
+        # holds a query term
+        if 0 < k < np.count_nonzero(scores):
+            cut = self.n_docs - k
+            cand = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        else:
+            cand = np.flatnonzero(scores)
         top = scores[cand]
-        if 0 < k < len(cand):
-            # every doc tied with the k-th best survives the cut
-            keep = top >= np.partition(top, len(top) - k)[len(top) - k]
-            cand, top = cand[keep], top[keep]
         order = np.lexsort((cand, -top))[:k]
         return self.evidence_set(zip(cand[order].tolist(), top[order].tolist()))
 

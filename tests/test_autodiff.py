@@ -434,6 +434,45 @@ def test_adam_non_finite_gradient_aborts_naming_parameter():
     assert st_.step == 0
 
 
+def _stepped_pair():
+    # "a" (2,) then "w" (3, 4), both one valid Adam step in, with fresh gradients
+    a, w = ad.Tensor(np.zeros(2)), ad.Tensor(np.ones((3, 4)))
+    a.grad, w.grad = np.full(2, 0.5), np.full((3, 4), 0.25)
+    st_ = AdamState()
+    adam_step({"a": a, "w": w}, st_, lr=0.1)
+    a.grad, w.grad = np.full(2, -0.5), np.full((3, 4), -0.25)
+    return {"a": a, "w": w}, st_
+
+
+def _assert_step_aborted(params, st_, err, name):
+    before = ({k: p.data.copy() for k, p in params.items()},
+              {k: m.copy() for k, m in st_.m.items()},
+              {k: v.copy() for k, v in st_.v.items()}, st_.step)
+    with pytest.raises(OptimError) as e:
+        adam_step(params, st_, lr=0.1)
+    assert repr(name) in str(e.value) and err in str(e.value)
+    data, m, v, step = before
+    assert all(np.array_equal(p.data, data[k]) for k, p in params.items())
+    assert all(np.array_equal(st_.m[k], m[k]) for k in m) and st_.m.keys() == m.keys()
+    assert all(np.array_equal(st_.v[k], v[k]) for k in v) and st_.v.keys() == v.keys()
+    assert st_.step == step
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4,), (3, 1)], ids=["row", "vector", "column"])
+def test_adam_wrong_shaped_gradient_aborts_naming_parameter(shape):
+    # each of these broadcasts against (3, 4), so numpy alone would not object
+    params, st_ = _stepped_pair()
+    params["w"].grad = np.full(shape, 0.25)
+    _assert_step_aborted(params, st_, f"gradient of shape {shape}", "w")
+
+
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_adam_mismatched_moment_aborts_naming_parameter(moment):
+    params, st_ = _stepped_pair()
+    getattr(st_, moment)["w"] = np.zeros((4, 3))
+    _assert_step_aborted(params, st_, "moment of shape (4, 3)", "w")
+
+
 def test_adam_matches_reference_formula():
     # independent step-by-step reference for a single weight
     rng = _rng(11)

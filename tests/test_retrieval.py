@@ -125,6 +125,18 @@ def test_evidence_truncated_to_limit():
     assert len(ev.retrieved[0].tokens) == rt.MAX_EVIDENCE_TOKENS
 
 
+def test_evidence_items_share_the_docs_token_tuples():
+    idx = rt.InvertedIndex(["a short tide", "tide " * 100])
+    ev = idx.evidence_set([(0, 2.0), (1, 1.0)])
+    fits, cut = ev.retrieved
+    assert fits.tokens is idx.doc_tokens[0]
+    assert cut.tokens == idx.doc_tokens[1][:rt.MAX_EVIDENCE_TOKENS]
+    assert len(cut.tokens) == rt.MAX_EVIDENCE_TOKENS < len(idx.doc_tokens[1])
+    # every set ends with one shared placeholder object
+    assert idx.search_topk("tide", k=2).items[-1] is ev.items[-1]
+    assert idx.evidence_set([]).items[-1] is ev.items[-1]
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(rt.IndexError_):
         rt.InvertedIndex([])
@@ -179,6 +191,21 @@ def test_retrieval_cache_hits_memo_and_disk(tmp_path, idx3):
     c = cache2.get("the cat")
     assert [i.doc_id for i in c.items] == [i.doc_id for i in a.items]
     assert [i.score for i in c.items] == [i.score for i in a.items]
+
+
+def test_reloaded_cache_returns_the_sets_it_wrote(tmp_path):
+    make_toy_dataset(4, 24, 4, tmp_path / "toy")
+    idx = rt.InvertedIndex.build(tmp_path / "toy" / "corpus.txt")
+    from eviq.toydata import load_toy_meta
+    _, events = load_toy_meta(tmp_path / "toy" / "meta.jsonl")
+    cache = rt.RetrievalCache(idx, k=rt.DEFAULT_TOP_K, cache_dir=tmp_path / "cache")
+    wrote = {ev["event"]: cache.get(ev["event"]) for ev in events}
+    again = rt.RetrievalCache(idx, k=rt.DEFAULT_TOP_K, cache_dir=tmp_path / "cache")
+    assert again._memo.keys() == wrote.keys()
+    for event, es in wrote.items():
+        back = again.get(event)
+        assert _exact(back) == _exact(es)
+        assert [it.tokens for it in back.items] == [it.tokens for it in es.items]
 
 
 def test_retrieval_cache_truncates_torn_final_line(tmp_path, idx3):
@@ -297,6 +324,44 @@ def test_search_topk_matches_reference_scorer(tmp_path, seed):
             query = index.event_query(q)
             assert all(it.score == index.bm25_score(query, it.doc_id)
                        for it in got.retrieved)
+
+
+def _python_float_weights(index):
+    # bm25_score's term expression, posting by posting, in Python floats
+    for term, plist in index.postings.items():
+        for doc_id, tf in plist.tolist():
+            norm = rt.K1 * (1.0 - rt.B + rt.B * index.doc_lengths[doc_id]
+                            / index.avg_doc_length)
+            yield index.idf(term) * tf * (rt.K1 + 1.0) / (tf + norm)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_posting_weights_are_the_scalar_arithmetic_and_survive_a_reload(tmp_path, seed):
+    # the toy corpus and the dense eight-word corpus of the reference test
+    make_toy_dataset(seed, 24, 4, tmp_path / "toy")
+    idx = rt.InvertedIndex.build(tmp_path / "toy" / "corpus.txt")
+    rng = np.random.default_rng(seed)
+    words = ["w%d" % i for i in range(8)]
+    dense = rt.InvertedIndex([" ".join(rng.choice(words, rng.integers(1, 41)))
+                              for _ in range(60)])
+    for index in (idx, dense):
+        assert index._weights.tolist() == list(_python_float_weights(index))
+        index.save(tmp_path / "index.evqi")
+        back = rt.InvertedIndex.load(tmp_path / "index.evqi")
+        assert np.array_equal(back._weights.view(np.int64), index._weights.view(np.int64))
+
+
+@pytest.mark.parametrize("k", [1, 7, 45])
+def test_search_topk_with_a_term_in_every_doc(k):
+    # more than k docs score above zero on every query, many of them tied
+    rng = np.random.default_rng(k)
+    words = ["w%d" % i for i in range(8)]
+    idx = rt.InvertedIndex(["common " + " ".join(rng.choice(words, rng.integers(0, 12)))
+                            for _ in range(80)])
+    for q in ("common", "common w1 w2", "w3 common common"):
+        got = idx.search_topk(q, k)
+        assert len(got.retrieved) == k
+        assert _exact(got) == _reference_search_topk(idx, q, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9, 12, 13, 14])
