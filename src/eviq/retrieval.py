@@ -3,10 +3,14 @@
 Queries are tokenized events with stop words removed.  Results always carry a
 trailing empty placeholder item so downstream selection can prefer "no
 evidence".  Okapi parameters k1=1.2, b=0.75 with the +1-inside-log idf.
+A result is held as two read-only arrays, doc ids and scores, whether it
+comes from a search or a cache reload; its EvidenceItems are built on the
+first read of ``items`` and kept, so a result nothing reads builds none.
 
 The postings are one flat (nnz, 2) little-endian uint32 array of (doc id, tf)
 rows, term by term in sorted term order, doc ids ascending within a term; the
-per-term views of it are what the index keeps, saves and loads in one block.
+index keeps, saves and loads it in one block, and ``postings`` maps a term to
+its view of the block by bisecting the sorted terms on each lookup.
 Each build or load also computes every posting's BM25 weight once,
 idf * tf * (k1 + 1) / (tf + norm), with the float operations of the scalar
 `bm25_score` in its order.  A search sums its query terms' weights per doc
@@ -25,7 +29,9 @@ import struct
 import zlib
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,16 +73,64 @@ class EvidenceItem:
     score: float
 
 
-@dataclass(frozen=True)
+_PLACEHOLDER = EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), score=0.0)
+
+
 class EvidenceSet:
-    items: tuple  # retrieved items in rank order, empty placeholder last
+    """Retrieved hits in rank order: read-only int64 doc ids, float64 scores.
+
+    ``items`` is built on its first read and kept: one EvidenceItem per hit,
+    carrying its doc's token tuple cut to MAX_EVIDENCE_TOKENS (for a doc
+    within the cap, the doc's own tuple, not a copy), then the shared empty
+    placeholder.  The arrays are read-only because one set is handed to
+    every caller that asks for its event.
+    """
+
+    def __init__(self, doc_ids, scores, doc_tokens: list):
+        self.doc_ids = np.array(doc_ids, dtype=np.int64)
+        self.scores = np.array(scores, dtype=np.float64)
+        self.doc_ids.flags.writeable = self.scores.flags.writeable = False
+        self._doc_tokens = doc_tokens
+
+    @cached_property
+    def items(self) -> tuple:
+        ids, toks = self.doc_ids.tolist(), self._doc_tokens
+        return (*map(EvidenceItem, ids, [toks[d][:MAX_EVIDENCE_TOKENS] for d in ids],
+                     self.scores.tolist()),
+                _PLACEHOLDER)
 
     @property
     def retrieved(self) -> tuple:
         return self.items[:-1]
 
 
-_PLACEHOLDER = EvidenceItem(doc_id=EMPTY_DOC_ID, tokens=(EMPTY,), score=0.0)
+def _row(terms: list, term: str) -> int:
+    """Position of term in the sorted terms, or -1 when it is not there."""
+    i = bisect_left(terms, term)
+    return i if i < len(terms) and terms[i] == term else -1
+
+
+class _Postings(Mapping):
+    """Read-only term -> postings mapping over the flat postings array.
+
+    Iterates the terms in sorted order; a lookup bisects the terms and
+    returns that term's read-only (df, 2) view of the array.
+    """
+
+    def __init__(self, terms: list, bounds: list, flat: np.ndarray):
+        self._terms, self._bounds, self._flat = terms, bounds, flat
+
+    def __getitem__(self, term):
+        i = _row(self._terms, term)
+        if i < 0:
+            raise KeyError(term)
+        return self._flat[self._bounds[i]:self._bounds[i + 1]]
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
 
 
 class InvertedIndex:
@@ -85,8 +139,8 @@ class InvertedIndex:
     Every posting is a (doc id, tf) row of one flat ``(nnz, 2)`` little-endian
     uint32 array, grouped by term in sorted term order, doc ids ascending
     within a term.  ``postings`` maps each term, in that order, to its
-    read-only ``(df, 2)`` view of the array.  ``doc_tokens`` holds each
-    doc's tokens as a tuple.
+    read-only ``(df, 2)`` view of the array, made on each lookup.
+    ``doc_tokens`` holds each doc's tokens as a tuple.
     """
 
     def __init__(self, raw_docs: list[str]):
@@ -121,8 +175,7 @@ class InvertedIndex:
         # term i of the sorted terms holds postings bounds[i]:bounds[i + 1]
         self._terms = terms
         self._bounds = [0] + np.cumsum(df, dtype=np.int64).tolist()
-        self.postings = {t: flat[a:b] for t, a, b in
-                         zip(terms, self._bounds, self._bounds[1:])}
+        self.postings = _Postings(terms, self._bounds, flat)
         # K1 * (1 - B + B * dl / avgdl), the same float ops bm25_score makes;
         # a corpus with no tokens has no postings, so its norm is never read
         dl = np.asarray(self.doc_lengths, dtype=np.float64)
@@ -151,9 +204,9 @@ class InvertedIndex:
 
     def save(self, path) -> None:
         doc_bytes = [d.encode("utf-8") for d in self.raw_docs]
-        term_bytes = [t.encode("utf-8") for t in self.postings]
+        term_bytes = [t.encode("utf-8") for t in self._terms]
         sizes = ([len(b) for b in doc_bytes] + [len(b) for b in term_bytes]
-                 + [len(p) for p in self.postings.values()])
+                 + np.diff(self._bounds).tolist())
         payload = b"".join([struct.pack("<II", self.n_docs, len(term_bytes)),
                             np.asarray(sizes, dtype=_U32).tobytes(),
                             self._postings.tobytes(), *doc_bytes, *term_bytes])
@@ -250,16 +303,9 @@ class InvertedIndex:
     def event_query(self, event: str) -> list[str]:
         return [t for t in tokenize(event) if t not in STOPWORDS]
 
-    def evidence_set(self, hits) -> EvidenceSet:
-        """The (doc id, score) hits as items, the shared empty placeholder last.
-
-        Each item carries its doc's token tuple cut to MAX_EVIDENCE_TOKENS,
-        which for a doc within the cap is the doc's own tuple, not a copy.
-        """
-        items = [EvidenceItem(d, self.doc_tokens[d][:MAX_EVIDENCE_TOKENS], s)
-                 for d, s in hits]
-        items.append(_PLACEHOLDER)
-        return EvidenceSet(items=tuple(items))
+    def evidence_set(self, doc_ids, scores) -> EvidenceSet:
+        """The hits, in rank order, as a set over this index's doc tokens."""
+        return EvidenceSet(doc_ids, scores, self.doc_tokens)
 
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
         """Top-k positive-scoring paragraphs for the event, plus the empty slot.
@@ -274,10 +320,10 @@ class InvertedIndex:
         if k < 0:
             raise IndexError_(f"k must be >= 0, got {k}")
         # each query term's row in the sorted terms, repeats included
-        rows = [bisect_left(self._terms, t) for t in self.event_query(event)
-                if t in self.postings]
+        rows = [i for i in (_row(self._terms, t) for t in self.event_query(event))
+                if i >= 0]
         if not rows:
-            return self.evidence_set(())
+            return self.evidence_set((), ())
         spans = [slice(self._bounds[i], self._bounds[i + 1]) for i in rows]
         scores = np.bincount(np.concatenate([self._postings[s, 0] for s in spans]),
                              np.concatenate([self._weights[s] for s in spans]),
@@ -291,11 +337,11 @@ class InvertedIndex:
             cand = np.flatnonzero(scores)
         top = scores[cand]
         order = np.lexsort((cand, -top))[:k]
-        return self.evidence_set(zip(cand[order].tolist(), top[order].tolist()))
+        return self.evidence_set(cand[order], top[order])
 
 
 def _parse_record(line: bytes, n_docs: int):
-    """(event, hits) of one cache line; ValueError saying what is wrong."""
+    """(event, doc ids, scores) of one cache line; ValueError saying what is wrong."""
     crc, _, text = line.partition(b" ")
     if crc != b"%08x" % zlib.crc32(text):
         raise ValueError("checksum mismatch")
@@ -314,7 +360,7 @@ def _parse_record(line: bytes, n_docs: int):
             raise ValueError(f"doc id {d!r} is not an int in 0..{n_docs - 1}")
         if type(score) is not float or not math.isfinite(score):
             raise ValueError(f"score {score!r} is not a finite float")
-    return event, hits
+    return event, [h[0] for h in hits], [h[1] for h in hits]
 
 
 class RetrievalCache:
@@ -344,7 +390,8 @@ class RetrievalCache:
         without one were torn by a crash mid-append and are cut from the
         file.  Any other line raises, naming the file and line, if its
         checksum or JSON is wrong, a doc id is not an int inside the index,
-        or a score is not a finite float.
+        or a score is not a finite float.  A record passing the checks is kept
+        as its doc id and score arrays; its items are built when first read.
         """
         if self.path is None or not self.path.exists():
             return
@@ -355,10 +402,10 @@ class RetrievalCache:
             os.truncate(self.path, len(data) - len(torn))
         for n, line in enumerate(lines, 1):
             try:
-                event, hits = _parse_record(line, n_docs)
+                event, doc_ids, scores = _parse_record(line, n_docs)
             except ValueError as e:
                 raise IndexError_(f"{self.path} line {n}: {e}") from None
-            self._memo[event] = self.index.evidence_set(hits)
+            self._memo[event] = self.index.evidence_set(doc_ids, scores)
 
     def get(self, event: str) -> EvidenceSet:
         hit = self._memo.get(event)
@@ -368,7 +415,7 @@ class RetrievalCache:
             if self.path is not None:
                 text = json.dumps({
                     "event": event,
-                    "hits": [[it.doc_id, it.score] for it in hit.retrieved],
+                    "hits": list(zip(hit.doc_ids.tolist(), hit.scores.tolist())),
                 }).encode("ascii")
                 with open(self.path, "ab") as fh:
                     fh.write(b"%08x %s\n" % (zlib.crc32(text), text))

@@ -2,6 +2,7 @@ import math
 import struct
 import warnings
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,14 +128,14 @@ def test_evidence_truncated_to_limit():
 
 def test_evidence_items_share_the_docs_token_tuples():
     idx = rt.InvertedIndex(["a short tide", "tide " * 100])
-    ev = idx.evidence_set([(0, 2.0), (1, 1.0)])
+    ev = idx.evidence_set([0, 1], [2.0, 1.0])
     fits, cut = ev.retrieved
     assert fits.tokens is idx.doc_tokens[0]
     assert cut.tokens == idx.doc_tokens[1][:rt.MAX_EVIDENCE_TOKENS]
     assert len(cut.tokens) == rt.MAX_EVIDENCE_TOKENS < len(idx.doc_tokens[1])
     # every set ends with one shared placeholder object
     assert idx.search_topk("tide", k=2).items[-1] is ev.items[-1]
-    assert idx.evidence_set([]).items[-1] is ev.items[-1]
+    assert idx.evidence_set([], []).items[-1] is ev.items[-1]
 
 
 def test_empty_corpus_rejected():
@@ -440,3 +441,100 @@ def test_corpus_without_tokens_builds_and_searches(tmp_path):
             assert index.postings == {}
             ev = index.search_topk("anything at all", k=3)
             assert len(ev.items) == 1 and ev.items[0].doc_id == rt.EMPTY_DOC_ID
+
+
+# --- array-backed evidence sets --------------------------------------------
+
+CAP_DOCS = ["a short tide", "tide " * 100, "tide pool", "harbor pool"]
+
+
+def _assert_items_as_built_eagerly(index, es):
+    # items as they were built when every set made them at construction:
+    # the hits' doc ids and scores as int and float, each doc's token tuple
+    # (the tuple itself when within the cap), then the shared placeholder
+    items = es.items
+    assert [(it.doc_id, float.hex(it.score), type(it.doc_id), type(it.score))
+            for it in items[:-1]] == [(d, float.hex(s), int, float) for d, s in
+                                      zip(es.doc_ids.tolist(), es.scores.tolist())]
+    for it in items[:-1]:
+        doc = index.doc_tokens[it.doc_id]
+        if len(doc) <= rt.MAX_EVIDENCE_TOKENS:
+            assert it.tokens is doc
+        else:
+            assert it.tokens == doc[:rt.MAX_EVIDENCE_TOKENS]
+    assert items[-1] is index.evidence_set([], []).items[-1]
+    assert items[-1].doc_id == rt.EMPTY_DOC_ID and items[-1].tokens == (EMPTY,)
+    assert es.items is items and es.retrieved == items[:-1]
+
+
+def _assert_read_only(es):
+    assert es.doc_ids.dtype == np.int64 and es.scores.dtype == np.float64
+    for arr in (es.doc_ids, es.scores):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def test_searched_set_builds_items_as_before_and_stays_read_only():
+    idx = rt.InvertedIndex(CAP_DOCS)
+    es = idx.search_topk("tide pool", k=4)
+    assert "items" not in vars(es)  # nothing built until read
+    assert _exact(es) == _reference_search_topk(idx, "tide pool", 4)
+    assert sorted(es.doc_ids.tolist()) == [0, 1, 2, 3]  # doc 1 is over the cap
+    _assert_items_as_built_eagerly(idx, es)
+    _assert_read_only(es)
+
+
+def test_reloaded_set_builds_items_as_before_and_stays_read_only(tmp_path):
+    idx = rt.InvertedIndex(CAP_DOCS)
+    cache = rt.RetrievalCache(idx, k=4, cache_dir=tmp_path)
+    wrote = {e: cache.get(e) for e in ("tide pool", "harbor", "zzqx")}
+    again = rt.RetrievalCache(idx, k=4, cache_dir=tmp_path)
+    assert not any("items" in vars(es) for es in again._memo.values())
+    for event, es in wrote.items():
+        back = again.get(event)
+        assert back is not es and _exact(back) == _exact(es)
+        _assert_items_as_built_eagerly(idx, back)
+        if len(back.doc_ids):
+            _assert_read_only(back)
+
+
+def test_evidence_set_copies_the_callers_arrays():
+    idx = rt.InvertedIndex(CAP_DOCS)
+    ids, scores = np.array([3, 2]), np.array([2.0, 1.0])
+    es = idx.evidence_set(ids, scores)
+    ids[0], scores[0] = 0, 9.0  # the caller's arrays stay writable
+    assert es.doc_ids.tolist() == [3, 2] and es.scores.tolist() == [2.0, 1.0]
+
+
+def _postings_as_a_dict(index):
+    # the public mapping as it used to be built: one (df, 2) uint32 array
+    # of (doc id, tf) rows per term, terms sorted, doc ids ascending
+    rows = {}
+    for doc_id, toks in enumerate(index.doc_tokens):
+        for term, tf in Counter(toks).items():
+            rows.setdefault(term, []).append([doc_id, tf])
+    return {t: np.array(rows[t], dtype="<u4").reshape(-1, 2) for t in sorted(rows)}
+
+
+@pytest.mark.parametrize("docs", [DOCS3, CAP_DOCS, ["   ", "\t"]])
+def test_postings_mapping_matches_the_old_dict(tmp_path, docs):
+    built = rt.InvertedIndex(docs)
+    built.save(tmp_path / "p.evqi")
+    want = _postings_as_a_dict(built)
+    for index in (built, rt.InvertedIndex.load(tmp_path / "p.evqi")):
+        p = index.postings
+        assert list(p) == list(want) and len(p) == len(want)
+        assert (p == {}) == (not want)
+        for term, rows in want.items():
+            view = p[term]
+            assert term in p and np.array_equal(p.get(term, ()), rows)
+            assert view.dtype == rows.dtype and np.array_equal(view, rows)
+            assert np.shares_memory(view, p[term])
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0, 1] = 7
+        for missing in ("", "aaa", "zzzz", "cats"):
+            assert missing not in p
+            assert p.get(missing, ()) == () and p.get(missing) is None
+            with pytest.raises(KeyError):
+                p[missing]
