@@ -7,12 +7,19 @@ defines a backward closure, and hands both to custom_op, the one place that
 consults the active tape: with a tape active the closure is recorded, with
 none the output is returned as plain numpy arithmetic, so inference-time code
 pays for the forward pass only.
+
+The active tape belongs to the running thread.  eviq.cores runs untaped work
+(half of each Adam update, half of an evidence encode under no_tape) on a
+worker thread, which starts with no tape active; so nothing it computes is
+recorded, and each tape holds exactly the ops its own thread ran, as when
+all work ran in one thread.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from scipy.special import erf
@@ -90,31 +97,32 @@ class GradTape:
             fn(g)
 
 
-_TAPES: list[GradTape | None] = []
-
-
-def _active() -> GradTape | None:
-    return _TAPES[-1] if _TAPES else None
+# The innermost tape() or no_tape() block of the running thread (None when
+# not recording).  A context variable: each thread, such as the worker of
+# eviq.cores, starts with no tape active and never sees the caller's, so
+# work handed to it records nothing onto the caller's tape.
+_TAPE: ContextVar[GradTape | None] = ContextVar("eviq_tape", default=None)
+_active = _TAPE.get
 
 
 @contextmanager
 def tape():
     t = GradTape()
-    _TAPES.append(t)
+    token = _TAPE.set(t)
     try:
         yield t
     finally:
-        _TAPES.pop()
+        _TAPE.reset(token)
 
 
 @contextmanager
 def no_tape():
     """Suspend recording; used for frozen submodules inside a training step."""
-    _TAPES.append(None)
+    token = _TAPE.set(None)
     try:
         yield
     finally:
-        _TAPES.pop()
+        _TAPE.reset(token)
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:

@@ -22,6 +22,15 @@ another params dict or another config, it drops every row and copies the new
 weights.  Its size is therefore bounded by the distinct paragraphs encoded
 under one set of weights: at most (docs + 1) * d_model * 8 bytes, plus one
 copy of the weights.
+
+A miss batch above two capped paragraphs' rows is encoded in two halves, the
+second on the worker thread of eviq.cores, so that stage-3 training, whose
+every Adam step empties the table, uses both cores.  The packed forward
+keeps each sequence's rows apart except in matrix products, so a split
+moves a vector only by rounding in those products: within 1e-12 of one
+per-set pass, as any table row already is.  Context vectors feed only
+nearest_row, so a split can change a pick only between two paragraphs
+within that distance of a tie.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, no_tape, scale, squared_distance
+from .cores import both, halves
 from .retrieval import EvidenceSet
-from .textdata import Vocab
+from .textdata import MAX_EVIDENCE_TOKENS, Vocab
 from .transformer import (TransformerConfig, batch_encoder_forward,
                           encoder_forward)
 from .vqvae import nearest_row
@@ -89,23 +99,39 @@ class _Table:
 
 _TABLE = _Table()
 
+# Rows (tokens plus summary token) of two paragraphs at the evidence cap.
+# A miss batch of at most this many rows is encoded in one call, so a set
+# missing only a few paragraphs pays no hand-off to the worker thread.
+_SPLIT_ROWS = 2 * (MAX_EVIDENCE_TOKENS + 1)
+
 
 def encode_evidence(params: dict, config: TransformerConfig,
                     evidence: EvidenceSet, vocab: Vocab) -> ContextVectors:
     """Context vectors for every item, encoding only paragraphs not yet seen.
 
-    Items missing from the table under these exact weights are encoded in
-    one batched pass without recording gradients, each distinct input once.
+    Items missing from the table under these exact weights are encoded
+    without recording gradients, each distinct input once.  A batch of more
+    than _SPLIT_ROWS rows is cut in two halves of near-equal row count,
+    encoded one on the caller's thread and one on eviq.cores' worker; the
+    table is written by the caller, after both halves succeed.
     """
     ids = evidence_token_ids(vocab, evidence)
     keys = [s.tobytes() for s in ids]
     _TABLE.sync(params, config)
     missing = {k: s for k, s in zip(keys, ids) if k not in _TABLE.rows}
     if missing:
-        with no_tape():
-            out = batch_encoder_forward(params, config, list(missing.values()),
-                                        cls_id=vocab.cls_id).data
-        _TABLE.rows.update(zip(missing, out))
+        new, seqs = list(missing), list(missing.values())
+
+        def encode(part) -> np.ndarray:
+            with no_tape():
+                return batch_encoder_forward(params, config, [seqs[i] for i in part],
+                                             cls_id=vocab.cls_id).data
+
+        sizes = [len(s) for s in seqs]
+        parts = halves(sizes) if sum(sizes) > _SPLIT_ROWS else (range(len(seqs)),)
+        outs = both(encode, *parts) if len(parts) == 2 else (encode(parts[0]),)
+        for part, out in zip(parts, outs):
+            _TABLE.rows.update(zip([new[i] for i in part], out))
     return ContextVectors(vectors=np.stack([_TABLE.rows[k] for k in keys]),
                           token_ids=ids, evidence=evidence)
 

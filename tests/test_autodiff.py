@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eviq import autodiff as ad
+from eviq import cores
+from eviq import transformer as tf
 from eviq.optim import AdamState, OptimError, adam_step
 
 from fdcheck import check_grads
@@ -444,13 +446,13 @@ def _stepped_pair():
     return {"a": a, "w": w}, st_
 
 
-def _assert_step_aborted(params, st_, err, name):
+def _assert_step_aborted(params, st_, err, name, lr=0.1):
     before = ({k: p.data.copy() for k, p in params.items()},
               {k: m.copy() for k, m in st_.m.items()},
               {k: v.copy() for k, v in st_.v.items()}, st_.step)
     with pytest.raises(OptimError) as e:
-        adam_step(params, st_, lr=0.1)
-    assert repr(name) in str(e.value) and err in str(e.value)
+        adam_step(params, st_, lr=lr)
+    assert (name is None or repr(name) in str(e.value)) and err in str(e.value)
     data, m, v, step = before
     assert all(np.array_equal(p.data, data[k]) for k, p in params.items())
     assert all(np.array_equal(st_.m[k], m[k]) for k in m) and st_.m.keys() == m.keys()
@@ -515,3 +517,59 @@ def test_adam_in_place_step_is_bitwise_the_allocating_expression():
     for k, p in params.items():
         assert np.array_equal(p.data.view(np.int64), ref[k].view(np.int64)), k
         assert np.array_equal(st_.m[k], m[k]) and np.array_equal(st_.v[k], v[k])
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_adam_rejects_a_bad_learning_rate_before_any_change(lr):
+    params, st_ = _stepped_pair()
+    _assert_step_aborted(params, st_, "learning rate", None, lr=lr)
+
+
+def test_adam_rejects_one_tensor_under_two_names():
+    params, st_ = _stepped_pair()
+    params["w_again"] = params["w"]
+    _assert_step_aborted(params, st_, "'w' and 'w_again' are one tensor", "w")
+
+
+def _two_stacks(seed):
+    cfg = tf.TransformerConfig()
+    rng = _rng(seed)
+    params = {f"{stack}.{k}": v for stack in ("enc", "dec")
+              for k, v in tf.init_params(cfg, 300, rng).items()}
+    return params, rng
+
+
+def test_adam_over_two_stacks_is_bitwise_the_serial_expression(cpus):
+    params, rng = _two_stacks(13)
+    assert len(params) == 68
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p.data) for k, p in params.items()}
+    v = {k: np.zeros_like(p.data) for k, p in params.items()}
+    st_ = AdamState()
+    lr, b1, b2, eps = 5e-4, 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, p in params.items():
+            g = rng.normal(size=p.data.shape)
+            p.grad = g
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            ref[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+        adam_step(params, st_, lr=lr)
+    for k, p in params.items():
+        assert np.array_equal(p.data.view(np.int64), ref[k].view(np.int64)), k
+        assert np.array_equal(st_.m[k], m[k]) and np.array_equal(st_.v[k], v[k])
+
+
+def test_adam_nan_gradient_in_the_workers_half_aborts_everything(cpus):
+    params, rng = _two_stacks(14)
+    st_ = AdamState()
+    for _ in range(2):
+        for p in params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        adam_step(params, st_, lr=1e-3)
+    names = list(params)
+    _, second = cores.halves([params[k].data.size for k in names])
+    victim = names[second[-1]]
+    params[victim].grad[0, -1] = np.nan
+    _assert_step_aborted(params, st_, "non-finite gradient", victim)

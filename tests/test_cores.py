@@ -1,0 +1,137 @@
+"""The two-core helper and the per-thread gradient tape it relies on."""
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eviq import autodiff as ad
+from eviq import cores
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _where(x):
+    return x, threading.get_ident()
+
+
+def test_both_returns_each_half_in_order(cpus):
+    (a, ta), (b, tb) = cores.both(_where, "first", "second")
+    assert (a, b) == ("first", "second")
+    assert ta == threading.get_ident()
+    assert (tb != ta) == (cpus == 2)
+
+
+def test_one_cpu_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(cores.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cores, "_POOL", None)
+    before = threading.active_count()
+    cores.both(_where, 1, 2)
+    assert cores._POOL is None and threading.active_count() == before
+
+
+def _fail(kind):
+    if kind == "slow":
+        time.sleep(0.2)
+        return "done"
+    raise {"shape": ad.ShapeError, "numeric": ad.NumericError}[kind](kind)
+
+
+@pytest.mark.parametrize("first, second, raised", [
+    ("shape", "slow", ad.ShapeError),
+    ("slow", "numeric", ad.NumericError),
+    ("shape", "numeric", ad.ShapeError),
+])
+def test_both_waits_for_both_halves_then_raises_the_first_error(cpus, first, second,
+                                                                  raised):
+    finished = []
+
+    def half(kind):
+        try:
+            return _fail(kind)
+        finally:
+            finished.append(kind)
+
+    with pytest.raises(raised):
+        cores.both(half, first, second)
+    if cpus == 2 or first != "shape":
+        assert sorted(finished) == sorted([first, second])
+
+
+@pytest.mark.parametrize("sizes", [[], [5], [3, 3], [1, 9, 2, 8, 2, 2],
+                                   list(range(1, 30)), [4] * 7])
+def test_halves_cover_every_index_once_and_balance(sizes):
+    a, b = cores.halves(sizes)
+    assert sorted(a + b) == list(range(len(sizes)))
+    assert a == sorted(a) and b == sorted(b)
+    gap = abs(sum(sizes[i] for i in a) - sum(sizes[i] for i in b))
+    assert gap <= max(sizes, default=0)
+    assert cores.halves(list(sizes)) == (a, b)
+
+
+# --- the per-thread tape ----------------------------------------------------
+
+def test_op_on_the_worker_records_nothing_onto_the_callers_tape(monkeypatch):
+    monkeypatch.setattr(cores.os, "sched_getaffinity", lambda pid: {0, 1})
+    x = ad.Tensor(np.ones(2))
+
+    def op(c):
+        ad.scale(x, c)
+        return threading.get_ident(), ad._active()
+
+    with ad.tape() as t:
+        (caller, on_caller), (worker, on_worker) = cores.both(op, 2.0, 3.0)
+        assert ad._active() is t
+    assert worker != caller
+    assert on_caller is t and on_worker is None
+    assert len(t.nodes) == 1
+
+
+def test_tape_and_no_tape_nest_per_thread():
+    barrier = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def run(name):
+        x = ad.Tensor(np.ones(2))
+        with ad.tape() as outer:
+            barrier.wait()
+            ad.scale(x, 1.0)
+            with ad.no_tape():
+                barrier.wait()
+                ad.scale(x, 2.0)
+                with ad.tape() as inner:
+                    barrier.wait()
+                    ad.scale(x, 3.0)
+                    ad.scale(x, 4.0)
+                    barrier.wait()
+                barrier.wait()
+                ad.scale(x, 5.0)
+                idle = ad._active()
+            barrier.wait()
+            ad.scale(x, 6.0)
+            back = ad._active() is outer
+        seen[name] = (len(outer.nodes), len(inner.nodes), idle, back, ad._active())
+
+    threads = [threading.Thread(target=run, args=(n,), daemon=True) for n in "ab"]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == {n: (2, 2, None, True, None) for n in "ab"}
+
+
+def test_importing_eviq_starts_no_thread():
+    modules = sorted(p.stem for p in (SRC / "eviq").glob("*.py") if p.stem != "__init__")
+    code = ("import threading\n"
+            + "".join(f"import eviq.{m}\n" for m in modules)
+            + "print(threading.active_count())\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "1"

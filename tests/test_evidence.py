@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eviq.autodiff import NumericError, Tensor, no_tape, tape
+from eviq.autodiff import NumericError, ShapeError, Tensor, no_tape, tape
+from eviq import cores
 from eviq import evidence as ev
 from eviq import textdata as td
 from eviq import transformer as tf
@@ -311,3 +312,68 @@ def test_table_matches_per_set_encoding_on_toy_dev_sets(tmp_path, seed, forwards
             assert ev.select_evidence(ctx, row)[0] == ev.select_evidence(ref, row)[0]
     # dev sets share most paragraphs, so most items were table hits
     assert sum(map(len, forwards)) < items / 2
+
+
+def _toy_dev_sets(tmp_path, seed):
+    make_toy_dataset(seed, 200, 8, tmp_path)
+    _, dev = td.load_dataset(tmp_path / "dev.jsonl")
+    idx = InvertedIndex.build(tmp_path / "corpus.txt")
+    vocab = Vocab.build([list(t) for t in idx.doc_tokens]
+                        + [g.members[0].event_tokens for g in dev])
+    cfg = tf.TransformerConfig(n_layers=2, n_heads=4, d_model=32, d_ff=64,
+                               max_len=72, dropout=0.0, causal=False)
+    params = tf.init_params(cfg, len(vocab.id_to_token), np.random.default_rng([seed, 5]))
+    sets = [idx.search_topk(g.members[0].event_raw, k=45) for g in dev]
+    return sets, vocab, cfg, params
+
+
+def test_split_encode_matches_per_set_and_encodes_each_paragraph_once(
+        tmp_path, forwards, cpus):
+    sets, vocab, cfg, params = _toy_dev_sets(tmp_path, 4)
+    evidence = max(sets, key=lambda es: len(es.items))
+    assert len(evidence.items) == 46  # 45 hits and the placeholder
+    with tape() as t:
+        ctx = ev.encode_evidence(params, cfg, evidence, vocab)
+    assert t.nodes == []
+    distinct = {tuple(s.tolist()) for s in ctx.token_ids}
+    encoded = [tuple(s) for call in forwards for s in call]
+    assert len(forwards) == 2 and all(forwards)
+    assert sorted(encoded) == sorted(distinct)
+    ref = ev.ContextVectors(_per_set(params, cfg, ctx.token_ids, vocab),
+                            ctx.token_ids, ctx.evidence)
+    assert np.abs(ctx.vectors - ref.vectors).max() <= 1e-12
+    rng = np.random.default_rng(9)
+    codes = np.vstack([vq.init_codebook(16, cfg.d_model, rng).data,
+                       rng.normal(0, 1.0, size=(20, cfg.d_model)), ref.vectors])
+    for row in codes:
+        assert ev.select_evidence(ctx, row)[0] == ev.select_evidence(ref, row)[0]
+
+
+@pytest.mark.parametrize("half", [0, 1], ids=["callers_half", "workers_half"])
+def test_error_in_either_half_raises_its_own_type_and_adds_no_rows(
+        tmp_path, monkeypatch, cpus, half):
+    sets, vocab, cfg, params = _toy_dev_sets(tmp_path, 4)
+    evidence = max(sets, key=lambda es: len(es.items))
+    ids = ev.evidence_token_ids(vocab, evidence)
+    seqs = list({s.tobytes(): s for s in ids}.values())
+    poisoned = seqs[cores.halves([len(s) for s in seqs])[half][0]].tobytes()
+    real = ev.batch_encoder_forward
+    ran = []
+
+    def failing(params, config, part, **kw):
+        ran.append(len(part))
+        if any(s.tobytes() == poisoned for s in part):
+            raise ShapeError("poisoned paragraph")
+        return real(params, config, part, **kw)
+
+    table = ev._Table()
+    monkeypatch.setattr(ev, "_TABLE", table)
+    monkeypatch.setattr(ev, "batch_encoder_forward", failing)
+    with pytest.raises(ShapeError, match="poisoned"):
+        ev.encode_evidence(params, cfg, evidence, vocab)
+    assert table.rows == {}
+    assert len(ran) == (2 if cpus == 2 or half == 1 else 1)
+    monkeypatch.setattr(ev, "batch_encoder_forward", real)
+    got = ev.encode_evidence(params, cfg, evidence, vocab)
+    assert len(table.rows) == len(seqs)
+    assert np.abs(got.vectors - _per_set(params, cfg, ids, vocab)).max() <= 1e-12

@@ -88,3 +88,37 @@ def test_environment_check_flags_each_way_of_reading():
     assert _environment_reads(tree) == [
         "line 2: os.getenv", "line 3: os.environ", "line 4: os.getenv",
         "line 5: os.environ"]
+
+
+_THREAD_MODULES = ("threading", "_thread", "concurrent.futures", "concurrent")
+
+
+def _thread_imports(tree: ast.Module) -> list[str]:
+    # threads belong to eviq.cores alone, so every module stays
+    # single-threaded unless it hands its work to that helper
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            found += [(n.lineno, a.name) for a in n.names if a.name in _THREAD_MODULES]
+        elif isinstance(n, ast.ImportFrom) and n.module in _THREAD_MODULES:
+            found.append((n.lineno, n.module))
+    return [f"line {line}: {name}" for line, name in found]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_cores_helper_imports_threads(path):
+    found = [hit.split(": ")[1] for hit in _thread_imports(ast.parse(path.read_text()))]
+    assert found == (["threading", "concurrent.futures"] if path.name == "cores.py"
+                     else [])
+
+
+def test_thread_import_check_flags_each_way_of_importing():
+    tree = ast.parse("import threading\n"
+                     "from concurrent.futures import ThreadPoolExecutor\n"
+                     "import concurrent.futures as cf, os\n"
+                     "from concurrent import futures\n"
+                     "import _thread\n"
+                     "from threadpoolctl import threadpool_limits\n")
+    assert _thread_imports(tree) == [
+        "line 1: threading", "line 2: concurrent.futures",
+        "line 3: concurrent.futures", "line 4: concurrent", "line 5: _thread"]
