@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+from pathlib import Path
 
 __version__ = "0.1.0"
 
@@ -31,4 +32,26 @@ def _fix_malloc_thresholds() -> None:
         pass
 
 
+def _one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread.
+
+    The model's matrices are small: a stage-1 run on two CPUs took the same
+    wall time on one BLAS thread as on the default two, at half the CPU
+    time, and two runs side by side were ~5x slower under the default.  The
+    library is the `scipy_openblas` one a numpy wheel ships in `numpy.libs`;
+    a numpy without it, or without the symbol, is left as it is.
+    """
+    import numpy
+
+    for lib in (Path(numpy.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*.so*"):
+        try:
+            set_threads = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 _fix_malloc_thresholds()
+_one_blas_thread()

@@ -16,23 +16,29 @@ idf * tf * (k1 + 1) / (tf + norm), with the float operations of the scalar
 `bm25_score` in its order.  A search sums its query terms' weights per doc
 with one `np.bincount`, which adds each doc's weights in query-term order
 starting from 0.0, as `bm25_score` does, so every score equals it to the
-bit.  Ranking is (score desc, doc id asc).
+bit.  Ranking is (score desc, doc id asc); the k-th largest score, read off
+one `np.sort` of the scores, is the threshold a candidate must reach.
+
+`RetrievalCache` persists one ASCII line per record in a `-v3.txt` file:
+the CRC-32 of the rest of the line, then the event's UTF-8 bytes, the
+little-endian uint32 doc ids and the float64 score bits, each hex-encoded.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import struct
 import zlib
+from binascii import hexlify, unhexlify
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +62,7 @@ EMPTY_DOC_ID = -1
 _MAGIC = b"EVQINDX1"
 _VERSION = 2
 _U32 = np.dtype("<u4")
+_F64 = np.dtype("<f8")
 
 
 class IndexError_(ValueError):
@@ -66,8 +73,7 @@ def _idf(n_docs: int, df: int) -> float:
     return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
-@dataclass(frozen=True)
-class EvidenceItem:
+class EvidenceItem(NamedTuple):
     doc_id: int
     tokens: tuple
     score: float
@@ -95,9 +101,10 @@ class EvidenceSet:
     @cached_property
     def items(self) -> tuple:
         ids, toks = self.doc_ids.tolist(), self._doc_tokens
-        return (*map(EvidenceItem, ids, [toks[d][:MAX_EVIDENCE_TOKENS] for d in ids],
-                     self.scores.tolist()),
-                _PLACEHOLDER)
+        hits = zip(ids, [toks[d][:MAX_EVIDENCE_TOKENS] for d in ids], self.scores.tolist())
+        # tuple.__new__ is what EvidenceItem._make calls, here without a
+        # Python-level call per item
+        return (*map(tuple.__new__, repeat(EvidenceItem), hits), _PLACEHOLDER)
 
     @property
     def retrieved(self) -> tuple:
@@ -313,9 +320,12 @@ class InvertedIndex:
         The doc ids and precomputed weights of each query term's postings,
         repeats included, are concatenated in query order and summed per doc
         by one bincount, so each score is bm25_score's sum to the bit.  When
-        more than k docs score, the k-th largest score is the threshold and
-        every doc reaching it is a candidate.  Ranking is (score desc, doc id
-        asc); ties at the k-th rank are cut by doc id.
+        at least k docs score, the k-th largest score is the threshold and
+        every doc reaching it is a candidate; otherwise every scoring doc is.
+        The threshold comes from a full np.sort: with a term in most docs a
+        query has a few distinct scores and thousands of docs tied at the
+        cut, where np.partition is several times slower.  Ranking is (score
+        desc, doc id asc); ties at the k-th rank are cut by doc id.
         """
         if k < 0:
             raise IndexError_(f"k must be >= 0, got {k}")
@@ -329,15 +339,21 @@ class InvertedIndex:
                              np.concatenate([self._weights[s] for s in spans]),
                              minlength=self.n_docs)
         # weights are positive, so a doc scores above zero exactly when it
-        # holds a query term
-        if 0 < k < np.count_nonzero(scores):
-            cut = self.n_docs - k
-            cand = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
-        else:
-            cand = np.flatnonzero(scores)
+        # holds a query term, and the k-th largest score is zero when fewer
+        # than k docs score
+        kth = np.sort(scores)[-k] if 0 < k <= self.n_docs else 0.0
+        cand = np.flatnonzero(scores >= kth if kth > 0 else scores)
         top = scores[cand]
         order = np.lexsort((cand, -top))[:k]
         return self.evidence_set(cand[order], top[order])
+
+
+def _record(event: str, hit: EvidenceSet) -> bytes:
+    """One cache line: CRC-32 of the text, a space, the text, a newline."""
+    text = b" ".join((hexlify(event.encode("utf-8")),
+                      hexlify(hit.doc_ids.astype(_U32).tobytes()),
+                      hexlify(hit.scores.astype(_F64).tobytes())))
+    return b"%08x %s\n" % (zlib.crc32(text), text)
 
 
 def _parse_record(line: bytes, n_docs: int):
@@ -346,21 +362,19 @@ def _parse_record(line: bytes, n_docs: int):
     if crc != b"%08x" % zlib.crc32(text):
         raise ValueError("checksum mismatch")
     try:
-        rec = json.loads(text)
-        event, hits = rec["event"], rec["hits"]
-    except (ValueError, KeyError, TypeError):
+        event, ids, scores = map(unhexlify, text.split(b" "))
+        event = event.decode("utf-8")
+    except ValueError:  # a field count, hex digit or UTF-8 byte that is wrong
         raise ValueError("corrupt cache record") from None
-    if type(event) is not str or type(hits) is not list:
-        raise ValueError("corrupt cache record")
-    for hit in hits:
-        if type(hit) is not list or len(hit) != 2:
-            raise ValueError(f"hit {hit!r} is not a [doc id, score] pair")
-        d, score = hit
-        if type(d) is not int or not 0 <= d < n_docs:
-            raise ValueError(f"doc id {d!r} is not an int in 0..{n_docs - 1}")
-        if type(score) is not float or not math.isfinite(score):
-            raise ValueError(f"score {score!r} is not a finite float")
-    return event, [h[0] for h in hits], [h[1] for h in hits]
+    if len(scores) % 8 or 2 * len(ids) != len(scores):
+        raise ValueError(f"{len(ids)} bytes of doc ids and {len(scores)} of "
+                         f"scores are not uint32 and float64 pairs")
+    ids, scores = np.frombuffer(ids, _U32), np.frombuffer(scores, _F64)
+    if (ids >= n_docs).any():
+        raise ValueError(f"doc id {ids.max()} outside 0..{n_docs - 1}")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"score {scores[~np.isfinite(scores)][0]} is not finite")
+    return event, ids, scores
 
 
 class RetrievalCache:
@@ -377,21 +391,25 @@ class RetrievalCache:
         self.path = None
         if cache_dir:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            name = f"retrieval-{index.fingerprint()[:16]}-k{k}-v2.txt"
+            name = f"retrieval-{index.fingerprint()[:16]}-k{k}-v3.txt"
             self.path = Path(cache_dir) / name
             self._load()
 
     def _load(self) -> None:
         """Read the persisted records.
 
-        A record is one line: the CRC-32 of its JSON text as 8 hex digits, a
-        space, then the JSON text {"event": str, "hits": [[doc id, score],
-        ...]}.  Every record is written with its newline, so trailing bytes
-        without one were torn by a crash mid-append and are cut from the
-        file.  Any other line raises, naming the file and line, if its
-        checksum or JSON is wrong, a doc id is not an int inside the index,
-        or a score is not a finite float.  A record passing the checks is kept
-        as its doc id and score arrays; its items are built when first read.
+        A record is one ASCII line of four space-separated fields: the
+        CRC-32 of the three after it as 8 hex digits, then hex of the event's
+        UTF-8 bytes, of the little-endian uint32 doc ids and of the
+        little-endian float64 scores, one id and one score per hit in rank
+        order.  Files of earlier layouts have other names and are left alone.
+        Every record is written with its newline, so trailing bytes without
+        one were torn by a crash mid-append and are cut from the file.  Any
+        other line raises, naming the file and line, if its checksum is wrong,
+        a field is missing or not hex, the event is not UTF-8, the id and
+        score fields do not pair up, a doc id is outside the index or a score
+        is not finite.  A record passing the checks is kept as its doc id and
+        score arrays; its items are built when first read.
         """
         if self.path is None or not self.path.exists():
             return
@@ -411,12 +429,19 @@ class RetrievalCache:
         hit = self._memo.get(event)
         if hit is None:
             hit = self.index.search_topk(event, self.k)
-            self._memo[event] = hit
             if self.path is not None:
-                text = json.dumps({
-                    "event": event,
-                    "hits": list(zip(hit.doc_ids.tolist(), hit.scores.tolist())),
-                }).encode("ascii")
-                with open(self.path, "ab") as fh:
-                    fh.write(b"%08x %s\n" % (zlib.crc32(text), text))
+                self._append(_record(event, hit))
+            self._memo[event] = hit
         return hit
+
+    def _append(self, line: bytes) -> None:
+        """Append one record in one O_APPEND write; a short write is cut back
+        off the file, so the next record starts a fresh line, and raises."""
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            n = os.write(fd, line)
+            if n != len(line):
+                os.ftruncate(fd, os.fstat(fd).st_size - n)
+                raise OSError(f"{self.path}: wrote {n} of a {len(line)}-byte cache record")
+        finally:
+            os.close(fd)

@@ -135,3 +135,28 @@ def test_importing_eviq_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "1"
+
+
+def test_importing_eviq_leaves_numpys_openblas_on_one_thread():
+    # read back through the bundled OpenBLAS, in a process whose environment
+    # sets no BLAS thread count, so the library starts at its own default
+    code = ("import ctypes, pathlib, numpy\n"
+            "libs = pathlib.Path(numpy.__file__).parent.parent / 'numpy.libs'\n"
+            "get = None\n"
+            "for lib in libs.glob('libscipy_openblas*.so*'):\n"
+            "    get = getattr(ctypes.CDLL(str(lib)), 'scipy_openblas_get_num_threads64_', None)\n"
+            "if get is None:\n"
+            "    print('absent')\n"
+            "else:\n"
+            "    get.argtypes, get.restype = [], ctypes.c_int\n"
+            "    before = get()\n"
+            "    import eviq\n"
+            "    print(before, get())\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": str(SRC)},
+                         check=True, capture_output=True, text=True, timeout=120)
+    if out.stdout.strip() == "absent":
+        pytest.skip("numpy ships no scipy_openblas with a thread-count symbol")
+    before, after = map(int, out.stdout.split())
+    assert before >= 1 and after == 1

@@ -213,7 +213,8 @@ def test_retrieval_cache_truncates_torn_final_line(tmp_path, idx3):
     cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
     want = [i.doc_id for i in cache.get("the cat").items]
     whole = cache.path.read_bytes()
-    cache.path.write_bytes(whole + b'{"event": "the dog", "hits": [[1, 0.')
+    # a record cut inside its doc ids, before its newline
+    cache.path.write_bytes(whole + b"1a2b3c4d 74686520646f67 010")
     again = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
     assert cache.path.read_bytes() == whole
     assert [i.doc_id for i in again.get("the cat").items] == want
@@ -221,20 +222,26 @@ def test_retrieval_cache_truncates_torn_final_line(tmp_path, idx3):
     assert len(rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)._memo) == 2
 
 
-def test_retrieval_cache_corrupt_inner_line_names_file_and_line(tmp_path, idx3):
-    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
-    cache.get("the cat")
-    cache.path.write_bytes(b"{not json\n" + cache.path.read_bytes())
-    with pytest.raises(rt.IndexError_) as e:
-        rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
-    assert cache.path.name in str(e.value) and "line 1" in str(e.value)
+def _fields(event: str, doc_ids, scores) -> list:
+    # a record's three fields as the cache writes them
+    return [event.encode("utf-8").hex(),
+            np.asarray(doc_ids, dtype=np.int64).astype("<u4").tobytes().hex(),
+            np.asarray(scores, dtype="<f8").tobytes().hex()]
 
 
-def _append_record(path, text):
-    # a line as the cache writes it: CRC-32 of the JSON text, a space, the text
-    data = text.encode("ascii")
+DOG = _fields("the dog", [1], [1.0])
+
+
+def _line(fields) -> bytes:
+    # a line under a valid checksum: CRC-32 of the fields joined by spaces,
+    # a space, the fields
+    text = " ".join(fields).encode("ascii")
+    return b"%08x %s\n" % (zlib.crc32(text), text)
+
+
+def _append_record(path, fields):
     with open(path, "ab") as fh:
-        fh.write(b"%08x %s\n" % (zlib.crc32(data), data))
+        fh.write(_line(fields))
 
 
 def _reload_error(idx, cache_dir):
@@ -243,24 +250,47 @@ def _reload_error(idx, cache_dir):
     return str(e.value)
 
 
+def test_retrieval_cache_corrupt_inner_line_names_file_and_line(tmp_path, idx3):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    cache.path.write_bytes(_line(DOG[:2]) + cache.path.read_bytes())  # no scores
+    err = _reload_error(idx3, tmp_path)
+    assert cache.path.name in err and "line 1" in err and "corrupt cache record" in err
+
+
 @pytest.mark.parametrize("doc_id", [-1, 3])
 def test_retrieval_cache_rejects_doc_id_outside_index(tmp_path, idx3, doc_id):
+    # -1 is written as the uint32 0xffffffff
     cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
     cache.get("the cat")
-    _append_record(cache.path, '{"event": "the dog", "hits": [[%d, 1.0]]}' % doc_id)
-    err = _reload_error(idx3, tmp_path)
-    assert cache.path.name in err and "line 2" in err and "not an int in 0..2" in err
-
-
-@pytest.mark.parametrize("hit", ['[1, "oops"]', "[1, NaN]", "[1, -Infinity]", "[true, 1.0]"],
-                         ids=["str-score", "nan-score", "minus-inf-score", "bool-doc-id"])
-def test_retrieval_cache_rejects_mistyped_hit(tmp_path, idx3, hit):
-    # each line carries a valid checksum, so only the type check can catch it
-    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
-    cache.get("the cat")
-    _append_record(cache.path, '{"event": "the dog", "hits": [%s]}' % hit)
+    _append_record(cache.path, _fields("the dog", [1, doc_id], [2.0, 1.0]))
     err = _reload_error(idx3, tmp_path)
     assert cache.path.name in err and "line 2" in err
+    assert f"doc id {doc_id % 2 ** 32} outside 0..2" in err
+
+
+@pytest.mark.parametrize("fields, why", [
+    ([*DOG[:2], "oops"], "corrupt cache record"),
+    (_fields("the dog", [1], [math.nan]), "score nan is not finite"),
+    (_fields("the dog", [1, 0], [2.0, -math.inf]), "score -inf is not finite"),
+    ([DOG[0], "01", DOG[2]], "1 bytes of doc ids and 8 of scores"),
+    ([DOG[0], DOG[1] * 2, DOG[2]], "8 bytes of doc ids and 8 of scores"),
+    ([DOG[0], DOG[1], DOG[2] + "00"], "4 bytes of doc ids and 9 of scores"),
+    ([DOG[0], DOG[1][:-1], DOG[2]], "corrupt cache record"),
+    ([DOG[0] + "0", *DOG[1:]], "corrupt cache record"),
+    ([DOG[0], DOG[1], DOG[2][:-2] + "zz"], "corrupt cache record"),
+    (["ff", *DOG[1:]], "corrupt cache record"),
+    ([*DOG, ""], "corrupt cache record"),
+], ids=["str-score", "nan-score", "minus-inf-score", "one-byte-doc-id", "more-ids-than-scores",
+        "score-not-8-bytes", "odd-length-ids", "odd-length-event", "non-hex-score",
+        "event-not-utf8", "extra-field"])
+def test_retrieval_cache_rejects_mistyped_hit(tmp_path, idx3, fields, why):
+    # each line carries a valid checksum, so only the field checks can catch it
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    _append_record(cache.path, fields)
+    err = _reload_error(idx3, tmp_path)
+    assert cache.path.name in err and "line 2" in err and why in err
 
 
 def test_retrieval_cache_checksum_catches_a_flipped_doc_id(tmp_path, idx3):
@@ -268,10 +298,59 @@ def test_retrieval_cache_checksum_catches_a_flipped_doc_id(tmp_path, idx3):
     cache.get("the cat")
     cache.get("the dog")
     data = cache.path.read_bytes()
-    assert data.count(b"[[1,") == 1   # "the dog" hits doc 1 only
-    cache.path.write_bytes(data.replace(b"[[1,", b"[[2,"))
+    dog = " %s " % DOG[1]            # "the dog" hits doc 1 only
+    assert data.count(dog.encode()) == 1
+    cache.path.write_bytes(data.replace(dog.encode(), b" 02000000 "))
     err = _reload_error(idx3, tmp_path)
     assert cache.path.name in err and "line 2" in err and "checksum" in err
+
+
+def test_retrieval_cache_writes_one_ascii_line_per_record_and_round_trips(tmp_path):
+    docs = ["the café opened early", "a naïve cat met a café owner", "猫 sat in the café"]
+    idx = rt.InvertedIndex(docs)
+    events = ["PersonX visits the café", "猫 and café", "naïve", "", "zzqx"]
+    cache = rt.RetrievalCache(idx, k=2, cache_dir=tmp_path)
+    wrote = {e: cache.get(e) for e in events}
+    data = cache.path.read_bytes()
+    assert data.isascii() and data.count(b"\n") == len(events) and data.endswith(b"\n")
+    for line, event in zip(data.splitlines(), events):
+        fields = line.split(b" ")
+        assert len(fields) == 4 and bytes.fromhex(fields[1].decode()).decode("utf-8") == event
+    again = rt.RetrievalCache(idx, k=2, cache_dir=tmp_path)
+    assert list(again._memo) == events
+    for event, es in wrote.items():
+        back = again.get(event)
+        assert _exact(back) == _exact(es)
+        assert [it.tokens for it in back.items] == [it.tokens for it in es.items]
+    assert cache.path.read_bytes() == data
+
+
+def test_retrieval_cache_leaves_a_v2_file_alone(tmp_path, idx3):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    v2 = cache.path.with_name(cache.path.name.replace("-v3.txt", "-v2.txt"))
+    assert v2 != cache.path
+    # a JSON-era record and a torn tail: neither is read, cut nor appended to
+    old = b'1a2b3c4d {"event": "the cat", "hits": [[0, 1.0]]}\n{"event": "the d'
+    v2.write_bytes(old)
+    again = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    assert again._memo == {}
+    again.get("the cat")
+    assert v2.read_bytes() == old and cache.path.read_bytes().count(b"\n") == 1
+
+
+def test_retrieval_cache_cuts_a_short_write_back_off(tmp_path, idx3, monkeypatch):
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    whole = cache.path.read_bytes()
+    write = rt.os.write
+    monkeypatch.setattr(rt.os, "write", lambda fd, data: write(fd, data[:10]))
+    with pytest.raises(OSError) as e:
+        cache.get("the dog")
+    assert cache.path.name in str(e.value) and "wrote 10 of a" in str(e.value)
+    assert cache.path.read_bytes() == whole and "the dog" not in cache._memo
+    monkeypatch.undo()
+    cache.get("the dog")
+    assert list(rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)._memo) == ["the cat", "the dog"]
 
 
 def _reference_search_topk(index, event, k):
@@ -374,6 +453,41 @@ def test_search_topk_keeps_ties_straddling_the_cut(k):
     want = _reference_search_topk(idx, "alpha beta", k)
     assert _exact(idx.search_topk("alpha beta", k)) == want
     assert [d for d, *_ in want] == list(range(min(k, 13)))
+
+
+def _bm25_brute_topk(index, event, k):
+    # bm25_score for every doc, positive ones sorted by (score desc, doc id asc)
+    query = index.event_query(event)
+    scored = [(index.bm25_score(query, d), d) for d in range(index.n_docs)]
+    ranked = sorted((p for p in scored if p[0] > 0.0), key=lambda p: (-p[0], p[1]))[:k]
+    return [(d, s.hex(), int, float) for s, d in ranked]
+
+
+@pytest.mark.parametrize("docs, event, k, n_hits", [
+    (DOCS3, "cat dog bird", 4, 3),                     # k > n_docs, every doc scores
+    (DOCS3, "cat dog", 10**6, 2),                      # k > n_docs, one doc does not
+    (DOCS3, "cat", 2, 2),                              # k = the number of scoring docs
+    (DOCS3, "cat", 3, 2),                              # one more than score
+    (["alpha beta", "gamma alpha beta", "alpha beta", "alpha"], "alpha beta", 1, 1),  # 0 ties 2
+    (["same words"] * 5, "same", 1, 1),                # every doc scores the same
+    (["same words"] * 5, "same words", 3, 3),
+    (["same words"] * 5, "words", 5, 5),
+    (["same words"] * 5, "same", 6, 5),
+], ids=["k-over-n-docs-all-score", "k-over-n-docs", "k-equals-scoring", "k-over-scoring",
+        "k1-tie-at-top", "all-equal-k1", "all-equal-k3", "all-equal-k-n", "all-equal-k-over-n"])
+def test_search_topk_threshold_boundaries(docs, event, k, n_hits):
+    idx = rt.InvertedIndex(docs)
+    got = _exact(idx.search_topk(event, k))
+    assert got == _bm25_brute_topk(idx, event, k) and len(got) == n_hits
+
+
+def test_evidence_items_are_immutable_named_fields():
+    a = rt.EvidenceItem(doc_id=1, tokens=("cat",), score=2.5)
+    assert a == rt.EvidenceItem(1, ("cat",), 2.5) and a != rt.EvidenceItem(1, ("cat",), 2.0)
+    assert (a.doc_id, a.tokens, a.score) == (1, ("cat",), 2.5)
+    assert len({a, rt.EvidenceItem(1, ("cat",), 2.5)}) == 1
+    with pytest.raises(AttributeError):
+        a.score = 3.0
 
 
 def _index_payload(docs, terms, df, postings):
