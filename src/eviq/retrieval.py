@@ -13,11 +13,13 @@ index keeps, saves and loads it in one block, and ``postings`` maps a term to
 its view of the block by bisecting the sorted terms on each lookup.
 Each build or load also computes every posting's BM25 weight once,
 idf * tf * (k1 + 1) / (tf + norm), with the float operations of the scalar
-`bm25_score` in its order.  A search sums its query terms' weights per doc
-with one `np.bincount`, which adds each doc's weights in query-term order
-starting from 0.0, as `bm25_score` does, so every score equals it to the
-bit.  Ranking is (score desc, doc id asc); the k-th largest score, read off
-one `np.sort` of the scores, is the threshold a candidate must reach.
+`bm25_score` in its order.  A search adds its query terms' weights into one
+score buffer, term by term in query order, so each doc's weights are summed
+from 0.0 in the order `bm25_score` sums them and every score equals it to
+the bit.  Ranking is (score desc, doc id asc).  The k-th largest score of a
+strided sample of the scores bounds the k-th largest score from below; only
+the few docs above that bound are sorted, and the docs tied at the k-th
+score are cut by doc id without being sorted.
 
 `RetrievalCache` persists one ASCII line per record in a `-v3.txt` file:
 the CRC-32 of the rest of the line, then the event's UTF-8 bytes, the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import struct
 import zlib
@@ -145,9 +148,11 @@ class InvertedIndex:
 
     Every posting is a (doc id, tf) row of one flat ``(nnz, 2)`` little-endian
     uint32 array, grouped by term in sorted term order, doc ids ascending
-    within a term.  ``postings`` maps each term, in that order, to its
-    read-only ``(df, 2)`` view of the array, made on each lookup.
-    ``doc_tokens`` holds each doc's tokens as a tuple.
+    within a term, so a term held by every doc has exactly the doc ids
+    0..n-1 and its weights are a dense row over the docs.  ``postings`` maps
+    each term, in that order, to its read-only ``(df, 2)`` view of the
+    array, made on each lookup.  ``doc_tokens`` holds each doc's tokens as a
+    tuple.
     """
 
     def __init__(self, raw_docs: list[str]):
@@ -317,35 +322,75 @@ class InvertedIndex:
     def search_topk(self, event: str, k: int = DEFAULT_TOP_K) -> EvidenceSet:
         """Top-k positive-scoring paragraphs for the event, plus the empty slot.
 
-        The doc ids and precomputed weights of each query term's postings,
-        repeats included, are concatenated in query order and summed per doc
-        by one bincount, so each score is bm25_score's sum to the bit.  When
-        at least k docs score, the k-th largest score is the threshold and
-        every doc reaching it is a candidate; otherwise every scoring doc is.
-        The threshold comes from a full np.sort: with a term in most docs a
-        query has a few distinct scores and thousands of docs tied at the
-        cut, where np.partition is several times slower.  Ranking is (score
-        desc, doc id asc); ties at the k-th rank are cut by doc id.
+        Each query term's precomputed weights, repeats included, are added
+        into one float64 score buffer in query order, so each score is
+        bm25_score's sum to the bit: a term held by every doc as one dense
+        row, any other term at its doc ids.  Ranking is (score desc, doc id
+        asc).  Only the docs strictly above `_kth_bound`'s lower bound on the
+        k-th largest score are sorted; when fewer than k are, the bound is
+        the k-th score.  The docs strictly above the k-th score come first,
+        then the lowest-id docs tied at it, so the thousands of ties a term
+        in most docs makes are never sorted.  Zero-scoring docs are never
+        returned, so fewer than k come back when fewer than k docs score.
         """
-        if k < 0:
-            raise IndexError_(f"k must be >= 0, got {k}")
+        k = _check_k(k)
         # each query term's row in the sorted terms, repeats included
         rows = [i for i in (_row(self._terms, t) for t in self.event_query(event))
                 if i >= 0]
-        if not rows:
+        if not rows or not k:
             return self.evidence_set((), ())
-        spans = [slice(self._bounds[i], self._bounds[i + 1]) for i in rows]
-        scores = np.bincount(np.concatenate([self._postings[s, 0] for s in spans]),
-                             np.concatenate([self._weights[s] for s in spans]),
-                             minlength=self.n_docs)
+        scores = np.zeros(self.n_docs)
+        for i in rows:
+            span = slice(self._bounds[i], self._bounds[i + 1])
+            if span.stop - span.start == self.n_docs:
+                scores += self._weights[span]
+            else:
+                np.add.at(scores, self._postings[span, 0], self._weights[span])
         # weights are positive, so a doc scores above zero exactly when it
-        # holds a query term, and the k-th largest score is zero when fewer
-        # than k docs score
-        kth = np.sort(scores)[-k] if 0 < k <= self.n_docs else 0.0
-        cand = np.flatnonzero(scores >= kth if kth > 0 else scores)
-        top = scores[cand]
-        order = np.lexsort((cand, -top))[:k]
-        return self.evidence_set(cand[order], top[order])
+        # holds a query term; kth is zero when fewer than k docs score
+        kth = _kth_bound(scores, k)
+        above = np.flatnonzero(scores > kth)
+        if len(above) >= k:
+            top = scores[above]
+            kth = np.sort(top)[-k]
+            above = above[top > kth]
+        top = scores[above]
+        ids = above[np.lexsort((above, -top))]
+        if kth > 0:
+            ids = np.concatenate((ids, _lowest_ties(scores, kth, k - len(ids))))
+        return self.evidence_set(ids, scores[ids])
+
+
+def _check_k(k) -> int:
+    """k as an int; IndexError_ unless it is a non-negative integer (not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise IndexError_(f"k must be a non-negative integer, got {k!r}")
+    return int(k)
+
+
+def _kth_bound(scores: np.ndarray, k: int) -> float:
+    """A lower bound on the k-th largest score, for k >= 1.
+
+    The k-th largest of every (len // 4k)-th score, about 4k of them: at
+    least k docs reach it.  Zero when the sample holds fewer than k scores.
+    """
+    sample = scores[::max(1, len(scores) // (4 * k))]
+    return np.partition(sample, -k)[-k] if len(sample) >= k else 0.0
+
+
+def _lowest_ties(scores: np.ndarray, kth: float, m: int) -> np.ndarray:
+    """The m lowest ids of the docs scoring exactly kth, or all when fewer do.
+
+    Scans a prefix of 8m scores, then one eight times as long, and so on:
+    with thousands of ties the first prefix holds enough of them, and
+    finding every tie in the corpus would cost several times as much.
+    """
+    stop = 8 * m
+    while True:
+        ties = np.flatnonzero(scores[:stop] == kth)
+        if len(ties) >= m or stop >= len(scores):
+            return ties[:m]
+        stop *= 8
 
 
 def _record(event: str, hit: EvidenceSet) -> bytes:
@@ -381,12 +426,13 @@ class RetrievalCache:
     """Per-(index, k) retrieval memo, optionally persisted one record a line.
 
     Records persist in a file under cache_dir; without one the cache is
-    memory-only.
+    memory-only.  A k that search_topk would reject raises IndexError_
+    before anything is created under cache_dir.
     """
 
     def __init__(self, index: InvertedIndex, k: int, cache_dir=None):
         self.index = index
-        self.k = k
+        self.k = k = _check_k(k)
         self._memo: dict[str, EvidenceSet] = {}
         self.path = None
         if cache_dir:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eviq import retrieval as rt
@@ -95,6 +95,36 @@ def test_k_zero_yields_only_placeholder(idx3):
 def test_negative_k_rejected(idx3):
     with pytest.raises(ValueError):
         idx3.search_topk("cat", k=-1)
+
+
+BAD_KS = [-1, 2.5, 3.0, "3", None, True, False, np.True_, np.float64(2.0), np.int64(-2)]
+
+
+@pytest.mark.parametrize("k", BAD_KS, ids=repr)
+def test_search_topk_rejects_a_k_that_is_not_a_non_negative_integer(idx3, k):
+    with pytest.raises(rt.IndexError_, match="non-negative integer"):
+        idx3.search_topk("cat", k)
+    with pytest.raises(rt.IndexError_):
+        idx3.search_topk("zzqx unknown", k)   # no query term in the index
+
+
+@pytest.mark.parametrize("k", BAD_KS, ids=repr)
+def test_retrieval_cache_rejects_a_bad_k_before_creating_anything(tmp_path, idx3, k):
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(rt.IndexError_, match="non-negative integer"):
+        rt.RetrievalCache(idx3, k, cache_dir)
+    assert not cache_dir.exists()
+    with pytest.raises(rt.IndexError_):
+        rt.RetrievalCache(idx3, k)
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), np.int32(0)], ids=repr)
+def test_numpy_integer_k_is_accepted(tmp_path, idx3, k):
+    assert _exact(idx3.search_topk("the cat", k)) == _exact(idx3.search_topk("the cat", int(k)))
+    cache = rt.RetrievalCache(idx3, k, tmp_path)
+    assert cache.k == int(k) and type(cache.k) is int
+    assert cache.path.name.endswith(f"-k{int(k)}-v3.txt")
+    assert np.array_equal(cache.get("the cat").doc_ids, idx3.search_topk("the cat", k).doc_ids)
 
 
 def test_stopwords_dropped_from_event_query(idx3):
@@ -479,6 +509,74 @@ def test_search_topk_threshold_boundaries(docs, event, k, n_hits):
     idx = rt.InvertedIndex(docs)
     got = _exact(idx.search_topk(event, k))
     assert got == _bm25_brute_topk(idx, event, k) and len(got) == n_hits
+
+
+def _all_scores(index, event):
+    query = index.event_query(event)
+    return np.array([index.bm25_score(query, d) for d in range(index.n_docs)])
+
+
+def test_search_topk_when_the_sampled_bound_is_the_kth_score():
+    # 8k docs, so the strided sample is a strict subset; two docs score
+    # above the rest, which all tie, so the sample's k-th score is the tie
+    # score and the cut takes the lowest-id ties after the two
+    k = 6
+    docs = ["common filler"] * (8 * k)
+    docs[13] = docs[30] = "common rare filler"
+    idx = rt.InvertedIndex(docs)
+    scores = _all_scores(idx, "common rare")
+    assert rt._kth_bound(scores, k) == np.sort(scores)[-k]
+    got = _exact(idx.search_topk("common rare", k))
+    assert got == _bm25_brute_topk(idx, "common rare", k)
+    assert [d for d, *_ in got] == [13, 30, 0, 1, 2, 3]
+
+
+def test_search_topk_when_the_sampled_bound_is_below_the_kth_score():
+    # 8k docs; the seven top scorers sit at odd ids, off the sample's
+    # stride, so the sample's k-th score is below the true k-th score and
+    # the docs above it are sorted; the cut falls inside a tie among them
+    k = 5
+    docs = ["beta " + "pad " * (i % 7) for i in range(8 * k)]
+    for i, doc_id in enumerate((3, 9, 11, 17, 21, 25, 31)):
+        docs[doc_id] = "alpha alpha beta" if i % 3 == 0 else "alpha beta pad"
+    idx = rt.InvertedIndex(docs)
+    scores = _all_scores(idx, "alpha beta")
+    kth = np.sort(scores)[-k]
+    assert rt._kth_bound(scores, k) < kth and (scores > rt._kth_bound(scores, k)).sum() >= k
+    got = _exact(idx.search_topk("alpha beta", k))
+    assert got == _bm25_brute_topk(idx, "alpha beta", k)
+    assert [d for d, *_ in got] == [3, 17, 31, 9, 11]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 400),
+       everywhere=st.booleans(),
+       query=st.lists(st.sampled_from(["common", "w1", "w3", "w5", "w7", "nowhere"]),
+                      min_size=1, max_size=6).map(" ".join))
+@example(seed=0, n_docs=300, everywhere=True, query="w3 common w3 common")
+@example(seed=1, n_docs=400, everywhere=True, query="w5 w3 common")
+@example(seed=2, n_docs=50, everywhere=False, query="w1 w7")
+@example(seed=3, n_docs=200, everywhere=True, query="nowhere w7")
+def test_search_topk_adds_terms_in_query_order_to_the_bit(seed, n_docs, everywhere, query):
+    # "common" is in every doc when everywhere holds, so its postings are
+    # the dense 0..n-1 row wherever it sits in the query; w7 is rare, so
+    # fewer than k docs score on some queries
+    rng = np.random.default_rng(seed)
+    words = ["w%d" % i for i in range(7)]
+    docs = []
+    for _ in range(n_docs):
+        doc = list(rng.choice(words, rng.integers(0, 9)))
+        if everywhere or rng.random() < 0.5:
+            doc += ["common"] * int(rng.integers(1, 3))
+        if rng.random() < 0.02:
+            doc.append("w7")
+        docs.append(" ".join(doc) or "w0")
+    idx = rt.InvertedIndex(docs)
+    ranked = _bm25_brute_topk(idx, query, n_docs)
+    for k in sorted({0, 1, n_docs - 1, n_docs, n_docs + 3}):
+        got = idx.search_topk(query, k)
+        assert _exact(got) == ranked[:k]
+        assert got.scores.tobytes() == np.array([float.fromhex(h) for _, h, *_ in ranked[:k]]).tobytes()
 
 
 def test_evidence_items_are_immutable_named_fields():
