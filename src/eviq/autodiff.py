@@ -233,7 +233,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _acc_new(x, g @ w.data.T)
         _acc_new(w, x.data.T @ g)
         _acc_new(b, g.sum(axis=0, keepdims=True))
-    return custom_op(x.data @ w.data + b.data, back)
+    out = x.data @ w.data
+    out += b.data
+    return custom_op(out, back)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -244,7 +246,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError("gather_rows indices must be 1-d")
     n = a.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    # one reduction checks both ends: a negative index wraps to a huge uint64
+    if idx.size and np.maximum.reduce(idx.view(np.uint64)) >= n:
         raise ShapeError(f"gather_rows index out of range for {n} rows")
 
     def back(g):
@@ -292,9 +295,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.data.shape[1]
     if gain.data.shape != (1, d) or bias.data.shape != (1, d):
         raise ShapeError(f"layer_norm gain/bias must be (1, {d})")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
 
@@ -305,7 +308,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _acc_new(x, inv * (dxhat - m1 - xhat * m2))
         _acc_new(gain, (g * xhat).sum(axis=0, keepdims=True))
         _acc_new(bias, g.sum(axis=0, keepdims=True))
-    return custom_op(xhat * gain.data + bias.data, back)
+    out = xhat * gain.data
+    out += bias.data
+    return custom_op(out, back)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -487,19 +492,3 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         _acc_new(v, _from_heads(dvh, rows))
     return custom_op(_from_heads(outh, rows), back)
 
-
-def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                     n_heads: int, mask: np.ndarray) -> np.ndarray:
-    """Untaped attention of query rows over their own key and value rows.
-
-    q: (n, d) queries; k, v: (m, d) keys and values; mask: additive
-    (n, m), NEG_INF where a query must not look.  Same score and softmax
-    code as the op; returns the (n, d) attended rows.
-    """
-    d = q.shape[1]
-    if k.shape != v.shape or k.shape[1] != d or mask.shape != (len(q), len(k)):
-        raise ShapeError(f"attention rows: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}, mask {mask.shape}")
-    qh, kh, vh = (_to_heads(x, (1, n_heads, len(x), d // n_heads), None)
-                  for x in (q, k, v))
-    return _from_heads(_attend(qh, kh, vh, mask)[0], None)

@@ -19,6 +19,7 @@ survivor's parent.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +153,12 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
 
     Pruning keeps the width best raw cumulative log-probabilities; the final
     ranking uses the mean log-probability per token.  Score ties break by
-    token-id order, so results are deterministic.
+    token-id order, so results are deterministic.  width and max_steps must
+    be integers (bools are not); ValueError before any forward otherwise.
     """
+    for name, n in (("width", width), ("max_steps", max_steps)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"beam {name} must be an integer, got {n!r}")
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
     if max_steps < 1 or max_steps > MAX_INFERENCE_TOKENS:

@@ -12,19 +12,25 @@ no query attends across sequences and none looks ahead in a causal stack.
 The encoder packs a batch of sequences, and encoder_forward is its
 one-sequence case; the decoder forward takes one sequence, as every caller
 decodes one at a time.  Incremental decoding runs the same forward with a
-KVCache over the live hypotheses of a beam, packed one new token apiece:
-each layer's attention then reads the keys and values of earlier positions
-from the cache instead of recomputing them, and adds its own.
+KVCache over the live hypotheses of a beam, packed one new token apiece.
+The cache's first pass, over the shared prefix, packs each layer's query,
+key and value weights into one matrix and the tied output projection into
+a contiguous one, keeps every layer's prefix keys and values in head
+layout, and carries only the final prefix row past the last layer's
+attention.  In each later pass, every layer projects the new rows once and
+attends each hypothesis's row to the prefix and to that hypothesis's own
+decoded rows, with no mask; its keys and values join those rows.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
-    NEG_INF,
     ShapeError,
     Tensor,
     add,
@@ -33,10 +39,10 @@ from .autodiff import (
     gather_rows,
     gelu,
     layer_norm,
-    masked_attention,
     matmul_nt,
     multihead_attention,
     no_tape,
+    softmax,
 )
 
 
@@ -101,55 +107,117 @@ def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
 
 
 class KVCache:
-    """Per-layer keys and values of causal decodes that share one prefix.
+    """Keys and values of causal decodes that share one prefix.
 
-    The first forward through the cache runs over the prefix alone and keeps
-    every layer's key and value rows.  Each later forward takes one new token
-    per live sequence: its row attends to the prefix, to the rows decoded
-    earlier for that sequence and to itself, and its keys and values join
-    that sequence's rows.  reorder picks the sequences that live on.
+    The first forward through the cache is the prefix pass: it runs over the
+    prefix alone and records the weights dict and config it ran with.  It
+    packs each layer's query, key and value weights (and biases) into one
+    (d, 3d) matrix, so a later forward makes one projection per layer, and
+    copies the tied output projection tok_emb.T into a contiguous matrix.
+    Every layer's prefix keys and values are kept once, in head layout: keys
+    as (heads, d / heads, P), ready to score queries against, and values as
+    (heads, P, d / heads).  In the last layer only the final prefix row goes
+    past attention, since only its logits are read.
+
+    Each later forward, a step, takes one new token per live hypothesis.  In
+    every layer its row attends to the prefix and to that hypothesis's own
+    decoded rows, itself included: two small products, one softmax over
+    their joined scores and a weighted sum, with no mask.  Its key and value
+    join its own rows.  reorder picks the hypotheses that live on.
     """
 
     def __init__(self):
-        self.prefix = []   # per layer: keys, values of the prefix, (P, d)
-        self.grown = []    # per layer: keys, values decoded since, (B, t, d)
+        self.params = self.config = None
+        self.qkv = []      # per layer: packed wq|wk|wv (d, 3d), bq|bk|bv (1, 3d)
+        self.emb_t = None  # tok_emb.T as a contiguous (d, vocab) matrix
+        self.prefix = []   # per layer: prefix keys (H, dh, P), values (H, P, dh)
+        self.grown = []    # per layer: keys, values decoded since, (H, B, t, dh)
 
-    def begin(self, lengths: tuple) -> int:
-        """Check a forward's sequence lengths; return its first position."""
+    def begin(self, params: dict, config: TransformerConfig,
+              lengths: tuple) -> int:
+        """Check a forward's weights and sequence lengths; return its first
+        position.  An empty cache takes them as its own."""
         if not self.prefix:
             if len(lengths) != 1:
                 raise ShapeError("an empty cache takes one prefix sequence, "
                                  f"got {len(lengths)}")
+            self.params, self.config = params, config
+            self.qkv = []
+            for i in range(config.n_layers):
+                pre = f"layers.{i}.attn."
+                self.qkv.append(tuple(
+                    np.hstack([params[pre + n + c].data for c in "qkv"])
+                    for n in "wb"))
+            self.emb_t = np.ascontiguousarray(params["tok_emb"].data.T)
             return 0
-        b, t = self.grown[0][0].shape[:2]
+        if params is not self.params or config != self.config:
+            raise ValueError("cache holds the decodes of other weights or "
+                             "another config")
+        _, b, t, _ = self.grown[0][0].shape
         if lengths != (1,) * b:
             raise ShapeError(f"cache holds {b} sequences, each forward takes "
                              f"one token apiece; got lengths {lengths}")
-        return len(self.prefix[0][0]) + t
+        return self.prefix[0][1].shape[1] + t
 
-    def attend(self, i: int, q: Tensor, k: Tensor, v: Tensor,
-               n_heads: int) -> Tensor:
-        """Layer i's attention output, keeping the layer's new keys and values."""
+    def attend(self, i: int, h: Tensor) -> tuple[Tensor, Tensor]:
+        """Layer i's attention rows over h and the residual rows they go
+        with, keeping the layer's new keys and values.
+
+        Below the last layer the prefix pass attends causally over every
+        prefix row; in the last layer only the final row attends, and it
+        and its residual row come back alone.
+        """
+        w, bias = self.qkv[i]
+        qkv = h.data @ w
+        qkv += bias
+        n, d = h.shape
+        heads = self.config.n_heads
+        q, k, v = (qkv[:, j * d:(j + 1) * d].reshape(n, heads, d // heads)
+                   .transpose(1, 0, 2) for j in range(3))
         if i == len(self.prefix):   # the prefix pass fills layers in order
-            d = k.shape[1]
-            self.prefix.append((k.data, v.data))
-            self.grown.append((np.zeros((1, 0, d)), np.zeros((1, 0, d))))
-            return multihead_attention(q, k, v, n_heads, causal=True)
-        gk, gv = (np.concatenate([g, x.data[:, None]], axis=1)
-                  for g, x in zip(self.grown[i], (k, v)))
-        self.grown[i] = (gk, gv)
-        b, t, d = gk.shape
+            self.prefix.append((np.ascontiguousarray(k.transpose(0, 2, 1)),
+                                np.ascontiguousarray(v)))
+            self.grown.append((k[:, None, :0], v[:, None, :0]))
+            if i < self.config.n_layers - 1:
+                return multihead_attention(
+                    *(Tensor(qkv[:, j * d:(j + 1) * d]) for j in range(3)),
+                    heads, causal=True), h
+            q, h = q[:, -1:], Tensor(h.data[-1:])
+        else:
+            self.grown[i] = tuple(np.concatenate([g, x[:, :, None]], axis=2)
+                                  for g, x in zip(self.grown[i], (k, v)))
         pk, pv = self.prefix[i]
-        own = np.repeat(np.arange(b), t) == np.arange(b)[:, None]
-        mask = np.hstack([np.zeros((b, len(pk))),
-                          np.where(own, 0.0, NEG_INF)])
-        return Tensor(masked_attention(
-            q.data, np.concatenate([pk, gk.reshape(b * t, d)]),
-            np.concatenate([pv, gv.reshape(b * t, d)]), n_heads, mask))
+        gk, gv = self.grown[i]
+        scores = np.concatenate([q @ pk, (gk @ q[..., None])[..., 0]],
+                                axis=-1)
+        scores *= 1.0 / math.sqrt(q.shape[-1])
+        wts = softmax(scores)
+        p = pv.shape[1]
+        out = wts[..., :p] @ pv
+        out += (wts[..., None, p:] @ gv)[..., 0, :]
+        return Tensor(out.transpose(1, 0, 2).reshape(len(h.data), d)), h
 
     def reorder(self, parents) -> None:
-        """Live on as the sequences at these indices, repeats allowed."""
-        self.grown = [(k[parents], v[parents]) for k, v in self.grown]
+        """Live on as the hypotheses at these indices, repeats allowed.
+
+        parents is a non-empty 1-d sequence of integers (not bools) in
+        0..B-1; anything else raises ShapeError naming the first bad
+        parent and leaves the cache as it was.
+        """
+        if not self.grown:
+            raise ShapeError("the cache holds no hypotheses before its "
+                             "prefix pass")
+        b = self.grown[0][0].shape[1]
+        idx = np.asarray(parents)
+        if idx.ndim != 1 or not idx.size:
+            raise ShapeError("parents must be a non-empty 1-d sequence, "
+                             f"got {parents!r}")
+        for x in parents:
+            if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
+                    or not 0 <= x < b):
+                raise ShapeError(f"parent {x!r} is not an integer in "
+                                 f"0..{b - 1}")
+        self.grown = [(k[:, idx], v[:, idx]) for k, v in self.grown]
 
 
 def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
@@ -157,15 +225,16 @@ def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
            cache: KVCache | None = None) -> Tensor:
     """Layer i over packed rows h: attention, residual, layer norm,
     feed-forward, residual, layer norm; dropout rate p after each sublayer.
-    With a cache, attention reads and extends it instead of seeing only h.
+    With a cache, attention reads and extends it instead of seeing only h,
+    and the rows past attention are the ones the cache hands back.
     """
     pre = f"layers.{i}."
-    q, k, v = _qkv(params, i, h, z)
     if cache is None:
+        q, k, v = _qkv(params, i, h, z)
         a = multihead_attention(q, k, v, config.n_heads, lengths,
                                 config.causal)
     else:
-        a = cache.attend(i, q, k, v, config.n_heads)
+        a, h = cache.attend(i, h)
     a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
     if p > 0.0:
         a = dropout(a, p, rng)
@@ -185,18 +254,21 @@ def _forward(params: dict, config: TransformerConfig, seqs,
     Positions restart at zero inside each sequence, or continue after the
     rows a cache holds.  z, when given, is one (1, d_model) latent row for
     all rows; it is added to the input embeddings and, in every layer, to
-    the projected queries, keys and values.
+    the projected queries, keys and values.  With a cache (untaped, no z)
+    only each sequence's last row comes back.
     """
-    lengths = tuple(len(s) for s in seqs)
+    lengths = tuple(map(len, seqs))
     if not lengths:
         raise ShapeError("no sequences to pack")
-    start = 0 if cache is None else cache.begin(lengths)
-    for n in lengths:
+    start = 0 if cache is None else cache.begin(params, config, lengths)
+    for n in (min(lengths), max(lengths)):
         if not 1 <= start + n <= config.max_len:
             raise ShapeError(f"sequence length {start + n} outside "
                              f"1..{config.max_len}")
-    ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in seqs])
-    positions = np.concatenate([np.arange(start, start + n) for n in lengths])
+    ids = np.concatenate(seqs, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    positions = (np.arange(start, start + ends[-1])
+                 - np.repeat(ends - lengths, lengths))
     if z is not None and z.shape != (1, config.d_model):
         raise ShapeError(f"latent shape {z.shape}, want (1, {config.d_model})")
     h = add(gather_rows(params["tok_emb"], ids),
@@ -262,13 +334,13 @@ def cached_next_logits(params: dict, config: TransformerConfig, seqs,
     """Next-token logits after each sequence, continuing the cache's decodes.
 
     Untaped and without dropout.  An empty cache takes one sequence, the
-    shared prefix; later calls take one token per sequence the cache holds.
-    Returns one (vocab,) logit row per sequence.
+    shared prefix, and the weights and config it is run with; later calls
+    take one token per sequence the cache holds, and the same weights dict
+    and config (ValueError otherwise).  Returns one (vocab,) logit row per
+    sequence.
     """
     if not config.causal:
         raise ValueError("cached decoding needs a causal config")
     with no_tape():
         h = _forward(params, config, seqs, cache=cache)
-        last = np.cumsum([len(s) for s in seqs]) - 1
-        return matmul_nt(gather_rows(h, last), params["tok_emb"]).data
-
+    return h.data @ cache.emb_t

@@ -263,13 +263,26 @@ def test_truncated_exactly_when_no_hypothesis_ends_with_end_marker(seed):
     assert seen == {False, True}
 
 
-def test_beam_rejects_bad_arguments(setup):
+def test_beam_rejects_bad_arguments(setup, monkeypatch):
+    # bools and non-integers are refused before any forward runs
     vocab, cfg, params = setup
-    with pytest.raises(ValueError):
-        gen.beam_search(params, cfg, vocab, [4], [5], "xIntent", width=0)
-    with pytest.raises(ValueError):
-        gen.beam_search(params, cfg, vocab, [4], [5], "xIntent",
-                        max_steps=33)
+    forwards = []
+    monkeypatch.setattr(gen, "cached_next_logits",
+                        lambda *args: forwards.append(args))
+    for bad in ({"width": 0}, {"max_steps": 33}, {"width": True},
+                {"max_steps": True}, {"width": np.True_}, {"width": 2.5},
+                {"max_steps": 2.0}, {"width": "2"}):
+        with pytest.raises(ValueError):
+            gen.beam_search(params, cfg, vocab, [4], [5], "xIntent", **bad)
+    assert forwards == []
+
+
+def test_beam_takes_numpy_integer_arguments(setup):
+    vocab, cfg, params = setup
+    args = (params, cfg, vocab, [4], [5], "xIntent")
+    _assert_same_beam(
+        gen.beam_search(*args, width=np.int64(3), max_steps=np.int32(4)),
+        gen.beam_search(*args, width=3, max_steps=4))
 
 
 def _reference_beam(params, cfg, vocab, ev, x, dimension, width, max_steps):

@@ -1,12 +1,15 @@
-"""Static checks over the package and test source, using only the stdlib parser."""
+"""Static checks over the package and test source, using only the stdlib
+parser, and over the benchmark records kept at the root of the repository."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "eviq"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "eviq"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -122,3 +125,15 @@ def test_thread_import_check_flags_each_way_of_importing():
     assert _thread_imports(tree) == [
         "line 1: threading", "line 2: concurrent.futures",
         "line 3: concurrent.futures", "line 4: concurrent", "line 5: _thread"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_bench_record_says_what_it_measured(path):
+    # a speed claim counts only with its record: what changed, against which
+    # parent, on which machine, and whether the claim was met
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(record, dict)
+    missing = [k for k in ("what", "parent", "machine", "claim")
+               if not record.get(k)]
+    assert missing == []

@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from eviq.autodiff import (
@@ -293,6 +296,76 @@ def test_cached_decode_rejects_bad_shapes(dec_setup):
         tf.cached_next_logits(params, cfg, [[7], [8]], cache)
     with pytest.raises(ValueError):
         tf.cached_next_logits(params, small_cfg(), [[4]], tf.KVCache())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_decode_matches_full_forward_property(data):
+    # prefixes of length 1, short and near max_len; then steps of 1-6 live
+    # sequences, each branching from a random parent, repeats allowed
+    cfg = small_cfg(causal=True)
+    params = tf.init_params(cfg, 20, np.random.default_rng(1))
+    n = data.draw(st.one_of(st.just(1), st.integers(2, 6),
+                            st.integers(cfg.max_len - 4, cfg.max_len)))
+    seqs = [data.draw(st.lists(st.integers(0, 19), min_size=n, max_size=n))]
+    cache = tf.KVCache()
+    got = tf.cached_next_logits(params, cfg, seqs, cache)
+    assert got.shape == (1, 20)
+    assert np.abs(got[0] - tf.decoder_forward(params, cfg, seqs[0]).data[-1]
+                  ).max() < 1e-12
+    room = cfg.max_len - n
+    for _ in range(data.draw(st.integers(min(room, 1), min(room, 4)))):
+        width = data.draw(st.integers(1, 6))
+        parents = data.draw(st.lists(st.integers(0, len(seqs) - 1),
+                                     min_size=width, max_size=width))
+        toks = data.draw(st.lists(st.integers(0, 19), min_size=width,
+                                  max_size=width))
+        cache.reorder(parents)
+        seqs = [seqs[p] + [t] for p, t in zip(parents, toks)]
+        got = tf.cached_next_logits(params, cfg, [[t] for t in toks], cache)
+        want = np.stack([tf.decoder_forward(params, cfg, s).data[-1]
+                         for s in seqs])
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("parents, named", [
+    ([-1], "-1"), ([True], "True"), ([0, np.True_], "True"), ([], "non-empty"),
+    ([0, 5], "5"), ([0.5], "0.5"), ([[0, 1]], "non-empty")],
+    ids=["negative", "bool", "numpy_bool", "empty", "out_of_range", "float",
+         "two_dims"])
+def test_cached_reorder_rejects_bad_parents(dec_setup, parents, named):
+    cfg, params = dec_setup
+    cache = tf.KVCache()
+    tf.cached_next_logits(params, cfg, [[4, 5, 6]], cache)
+    cache.reorder([0, 0])
+    tf.cached_next_logits(params, cfg, [[7], [8]], cache)
+    before = [tuple(x.copy() for x in kv) for kv in cache.grown]
+    with pytest.raises(ShapeError) as e:
+        cache.reorder(parents)
+    assert named in str(e.value)
+    assert all(np.array_equal(x, y) for kv, kv0 in zip(cache.grown, before)
+               for x, y in zip(kv, kv0))
+    got = tf.cached_next_logits(params, cfg, [[9], [10]], cache)
+    want = [tf.decoder_forward(params, cfg, s).data[-1]
+            for s in ([4, 5, 6, 7, 9], [4, 5, 6, 8, 10])]
+    assert np.abs(got - want).max() < 1e-12
+    with pytest.raises(ShapeError):
+        tf.KVCache().reorder([0])
+
+
+def test_cached_decode_rejects_other_weights_or_config(dec_setup):
+    # the cache holds packed copies of the prefix pass's weights, so a step
+    # with another dict or config must not mix the two models
+    cfg, params = dec_setup
+    cache = tf.KVCache()
+    tf.cached_next_logits(params, cfg, [[4, 5, 6]], cache)
+    with pytest.raises(ValueError):
+        tf.cached_next_logits(dict(params), cfg, [[7]], cache)
+    with pytest.raises(ValueError):
+        tf.cached_next_logits(params, replace(cfg, dropout=0.2), [[7]], cache)
+    got = tf.cached_next_logits(params, cfg, [[7]], cache)
+    want = tf.decoder_forward(params, cfg, [4, 5, 6, 7]).data[-1]
+    assert np.abs(got[0] - want).max() < 1e-12
 
 
 def test_dropout_train_mode_differs_eval_deterministic():
