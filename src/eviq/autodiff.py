@@ -58,11 +58,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def constant(data) -> Tensor:
-    """Tensor that never records onto a tape (gradients stop here)."""
-    return Tensor(data)
-
-
 class GradTape:
     """Ordered record of operations for one forward pass.
 

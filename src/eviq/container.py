@@ -1,8 +1,8 @@
-"""Shared on-disk container: magic, version, JSON header, payload, checksum.
+"""On-disk container: magic, version, JSON header, payload, checksum.
 
-Used by both the retrieval index and training checkpoints.  All integers are
-little-endian; the trailing sha256 covers every preceding byte, so a single
-flipped bit fails loading.
+The retrieval index is stored in it.  All integers are little-endian; the
+trailing sha256 covers every preceding byte, so a single flipped bit fails
+loading.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textdata import DatasetError
+
 CLUSTER_THEMES = (
     ("joy", ("glad", "cheerful", "smiling", "delighted", "sunny", "laughing",
              "beaming", "merry", "upbeat", "gleeful")),
@@ -241,14 +243,25 @@ def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path) -> Non
 
 
 def load_toy_meta(path):
-    """Read meta.jsonl back into (header dict, event records list)."""
-    header = None
-    events = []
+    """Read meta.jsonl back into (header dict, event records list).
+
+    Every line is a JSON object and the first one alone is the header;
+    anything else raises DatasetError naming the file and line.
+    """
+    records = []
     with open(Path(path), encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec.get("kind") == "header":
-                header = rec
-            else:
-                events.append(rec)
-    return header, events
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DatasetError(f"{path}:{lineno}: malformed JSON ({e.msg})") from e
+            if not isinstance(rec, dict):
+                raise DatasetError(f"{path}:{lineno}: record is not a JSON object")
+            if lineno == 1 and rec.get("kind") != "header":
+                raise DatasetError(f"{path}:1: first line is not the header")
+            if lineno > 1 and rec.get("kind") == "header":
+                raise DatasetError(f"{path}:{lineno}: second header")
+            records.append(rec)
+    if not records:
+        raise DatasetError(f"{path}:1: empty file, no header")
+    return records[0], records[1:]

@@ -13,13 +13,12 @@ The encoder packs a batch of sequences, and encoder_forward is its
 one-sequence case; the decoder forward takes one sequence, as every caller
 decodes one at a time.  Incremental decoding runs the same forward with a
 KVCache over the live hypotheses of a beam, packed one new token apiece.
-The cache's first pass, over the shared prefix, packs each layer's query,
-key and value weights into one matrix and the tied output projection into
-a contiguous one, keeps every layer's prefix keys and values in head
-layout, and carries only the final prefix row past the last layer's
-attention.  In each later pass, every layer projects the new rows once and
-attends each hypothesis's row to the prefix and to that hypothesis's own
-decoded rows, with no mask; its keys and values join those rows.
+The cache's first pass, over the shared prefix, keeps every layer's prefix
+keys and values in head layout and carries only the final prefix row past
+the last layer's attention.  In each later pass, every layer projects the
+new rows as any forward does and attends each hypothesis's row to the
+prefix and to that hypothesis's own decoded rows, with no mask; its keys
+and values join those rows.
 """
 
 from __future__ import annotations
@@ -57,13 +56,17 @@ class TransformerConfig:
     causal: bool = False
 
     def __post_init__(self):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_len"):
+            n = getattr(self, name)
+            if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                    or n < 1):
+                raise ValueError(f"{name} must be a positive integer, "
+                                 f"got {n!r}")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout rate {self.dropout} outside [0, 1)")
-        if self.max_len < 1 or self.n_layers < 1:
-            raise ValueError("max_len and n_layers must be positive")
 
 
 def init_params(config: TransformerConfig, vocab_size: int,
@@ -110,12 +113,9 @@ class KVCache:
     """Keys and values of causal decodes that share one prefix.
 
     The first forward through the cache is the prefix pass: it runs over the
-    prefix alone and records the weights dict and config it ran with.  It
-    packs each layer's query, key and value weights (and biases) into one
-    (d, 3d) matrix, so a later forward makes one projection per layer, and
-    copies the tied output projection tok_emb.T into a contiguous matrix.
-    Every layer's prefix keys and values are kept once, in head layout: keys
-    as (heads, d / heads, P), ready to score queries against, and values as
+    prefix alone and records the weights dict and config it ran with.  Every
+    layer's prefix keys and values are kept once, in head layout: keys as
+    (heads, d / heads, P), ready to score queries against, and values as
     (heads, P, d / heads).  In the last layer only the final prefix row goes
     past attention, since only its logits are read.
 
@@ -127,9 +127,7 @@ class KVCache:
     """
 
     def __init__(self):
-        self.params = self.config = None
-        self.qkv = []      # per layer: packed wq|wk|wv (d, 3d), bq|bk|bv (1, 3d)
-        self.emb_t = None  # tok_emb.T as a contiguous (d, vocab) matrix
+        self.params = self.config = None  # the prefix pass's weights, config
         self.prefix = []   # per layer: prefix keys (H, dh, P), values (H, P, dh)
         self.grown = []    # per layer: keys, values decoded since, (H, B, t, dh)
 
@@ -142,13 +140,6 @@ class KVCache:
                 raise ShapeError("an empty cache takes one prefix sequence, "
                                  f"got {len(lengths)}")
             self.params, self.config = params, config
-            self.qkv = []
-            for i in range(config.n_layers):
-                pre = f"layers.{i}.attn."
-                self.qkv.append(tuple(
-                    np.hstack([params[pre + n + c].data for c in "qkv"])
-                    for n in "wb"))
-            self.emb_t = np.ascontiguousarray(params["tok_emb"].data.T)
             return 0
         if params is not self.params or config != self.config:
             raise ValueError("cache holds the decodes of other weights or "
@@ -159,38 +150,34 @@ class KVCache:
                              f"one token apiece; got lengths {lengths}")
         return self.prefix[0][1].shape[1] + t
 
-    def attend(self, i: int, h: Tensor) -> tuple[Tensor, Tensor]:
-        """Layer i's attention rows over h and the residual rows they go
-        with, keeping the layer's new keys and values.
+    def attend(self, i: int, q: Tensor, k: Tensor, v: Tensor,
+               h: Tensor) -> tuple[Tensor, Tensor]:
+        """Layer i's attention rows for the query, key and value rows of h,
+        and the residual rows they go with, keeping the new keys and values.
 
         Below the last layer the prefix pass attends causally over every
         prefix row; in the last layer only the final row attends, and it
         and its residual row come back alone.
         """
-        w, bias = self.qkv[i]
-        qkv = h.data @ w
-        qkv += bias
         n, d = h.shape
         heads = self.config.n_heads
-        q, k, v = (qkv[:, j * d:(j + 1) * d].reshape(n, heads, d // heads)
-                   .transpose(1, 0, 2) for j in range(3))
+        qh, kh, vh = (x.data.reshape(n, heads, d // heads).transpose(1, 0, 2)
+                      for x in (q, k, v))
         if i == len(self.prefix):   # the prefix pass fills layers in order
-            self.prefix.append((np.ascontiguousarray(k.transpose(0, 2, 1)),
-                                np.ascontiguousarray(v)))
-            self.grown.append((k[:, None, :0], v[:, None, :0]))
+            self.prefix.append((np.ascontiguousarray(kh.transpose(0, 2, 1)),
+                                np.ascontiguousarray(vh)))
+            self.grown.append((kh[:, None, :0], vh[:, None, :0]))
             if i < self.config.n_layers - 1:
-                return multihead_attention(
-                    *(Tensor(qkv[:, j * d:(j + 1) * d]) for j in range(3)),
-                    heads, causal=True), h
-            q, h = q[:, -1:], Tensor(h.data[-1:])
+                return multihead_attention(q, k, v, heads, causal=True), h
+            qh, h = qh[:, -1:], Tensor(h.data[-1:])
         else:
             self.grown[i] = tuple(np.concatenate([g, x[:, :, None]], axis=2)
-                                  for g, x in zip(self.grown[i], (k, v)))
+                                  for g, x in zip(self.grown[i], (kh, vh)))
         pk, pv = self.prefix[i]
         gk, gv = self.grown[i]
-        scores = np.concatenate([q @ pk, (gk @ q[..., None])[..., 0]],
+        scores = np.concatenate([qh @ pk, (gk @ qh[..., None])[..., 0]],
                                 axis=-1)
-        scores *= 1.0 / math.sqrt(q.shape[-1])
+        scores *= 1.0 / math.sqrt(qh.shape[-1])
         wts = softmax(scores)
         p = pv.shape[1]
         out = wts[..., :p] @ pv
@@ -229,12 +216,12 @@ def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
     and the rows past attention are the ones the cache hands back.
     """
     pre = f"layers.{i}."
+    q, k, v = _qkv(params, i, h, z)
     if cache is None:
-        q, k, v = _qkv(params, i, h, z)
         a = multihead_attention(q, k, v, config.n_heads, lengths,
                                 config.causal)
     else:
-        a, h = cache.attend(i, h)
+        a, h = cache.attend(i, q, k, v, h)
     a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
     if p > 0.0:
         a = dropout(a, p, rng)
@@ -343,4 +330,4 @@ def cached_next_logits(params: dict, config: TransformerConfig, seqs,
         raise ValueError("cached decoding needs a causal config")
     with no_tape():
         h = _forward(params, config, seqs, cache=cache)
-    return h.data @ cache.emb_t
+        return matmul_nt(h, params["tok_emb"]).data

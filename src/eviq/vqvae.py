@@ -26,7 +26,6 @@ from .autodiff import (
     accumulate_new,
     add,
     add_n,
-    constant,
     custom_op,
     gather_rows,
     matmul,
@@ -95,7 +94,7 @@ def straight_through(enc_vec: Tensor, nearest: NearestCode) -> Tensor:
     backward pass hands the decoder's latent gradient to the encoder
     unchanged.  The offset pins are the assignment-time values.
     """
-    return add(enc_vec, constant(nearest.row - nearest.enc_snapshot))
+    return add(enc_vec, Tensor(nearest.row - nearest.enc_snapshot))
 
 
 def quantization_loss(enc_vec: Tensor, codebook: Tensor, nearest: NearestCode,

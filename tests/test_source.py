@@ -127,6 +127,62 @@ def test_thread_import_check_flags_each_way_of_importing():
         "line 3: concurrent.futures", "line 4: concurrent", "line 5: _thread"]
 
 
+def _public_names(tree: ast.Module) -> list[tuple[int, str]]:
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found if not name.startswith("_")]
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(a.name for a in n.names)
+    return read
+
+
+def _unread_exports(tree: ast.Module, read: set[str]) -> list[str]:
+    # nothing is exported that nothing uses: a public name no module, test
+    # or benchmark reads is dead code
+    return [f"line {line}: {name}" for line, name in _public_names(tree)
+            if name not in read]
+
+
+@pytest.fixture(scope="module")
+def names_read_anywhere():
+    paths = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    return set().union(*(_names_read(ast.parse(p.read_text())) for p in paths))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_public_name_is_read_somewhere(path, names_read_anywhere):
+    assert _unread_exports(ast.parse(path.read_text()), names_read_anywhere) == []
+
+
+def test_unread_export_check_flags_a_planted_name():
+    module = ast.parse("LIMIT = 3\n"
+                       "COUNT = _HIDDEN = 0\n"
+                       "def used(x):\n    return x + LIMIT\n"
+                       "def unused():\n    return used(1)\n"
+                       "class Shape:\n    pass\n")
+    reader = ast.parse("from m import used\n"
+                       "import m\n"
+                       "m.Shape()\n"
+                       "m.COUNT = 1\n")
+    read = _names_read(module) | _names_read(reader)
+    assert _unread_exports(module, read) == ["line 2: COUNT", "line 5: unused"]
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
                          ids=lambda p: p.name)
 def test_bench_record_says_what_it_measured(path):

@@ -137,6 +137,25 @@ def test_toy_events_appear_verbatim_in_corpus(tmp_path):
             assert ev["event"] in corpus[ev["herring_doc"]]
 
 
+_HEADER = '{"kind": "header", "seed": 1}\n'
+_EVENT = '{"kind": "event", "event": "personx waits"}\n'
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", ":1:"),
+    (_EVENT + _EVENT, ":1:"),
+    (_HEADER + _EVENT + '{"kind": "event",\n', ":3:"),
+    (_HEADER + "[1, 2]\n", ":2:"),
+    (_HEADER + _EVENT + _HEADER, ":3:"),
+], ids=["empty", "headerless", "malformed", "list_line", "second_header"])
+def test_toy_meta_rejects_a_bad_file_naming_file_and_line(tmp_path, text, where):
+    path = tmp_path / "meta.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(td.DatasetError) as e:
+        load_toy_meta(path)
+    assert f"{path}{where}" in str(e.value)
+
+
 def test_toy_mean_inferences_matches_counting_oracle(tmp_path):
     make_toy_dataset(7, 18, 3, tmp_path)
     header, _ = load_toy_meta(tmp_path / "meta.jsonl")

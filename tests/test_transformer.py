@@ -55,6 +55,17 @@ def test_config_rejects_bad_dropout():
         small_cfg(dropout=1.0)
 
 
+@pytest.mark.parametrize("field", ["n_layers", "n_heads", "d_model", "d_ff",
+                                   "max_len"])
+@pytest.mark.parametrize("value", [0, -4, True, 2.0],
+                         ids=["zero", "negative", "bool", "float"])
+def test_config_rejects_a_size_that_is_not_a_positive_integer(field, value):
+    with pytest.raises(ValueError) as e:
+        small_cfg(**{field: value})
+    assert type(e.value) is ValueError
+    assert field in str(e.value)
+
+
 def test_encoder_output_width(enc_setup):
     cfg, params = enc_setup
     h = tf.encoder_forward(params, cfg, [4, 5, 6, CLS], cls_id=CLS)
@@ -301,9 +312,11 @@ def test_cached_decode_rejects_bad_shapes(dec_setup):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_cached_decode_matches_full_forward_property(data):
-    # prefixes of length 1, short and near max_len; then steps of 1-6 live
-    # sequences, each branching from a random parent, repeats allowed
-    cfg = small_cfg(causal=True)
+    # 1-3 layers of 1, 2 or 4 heads; prefixes of length 1, short and near
+    # max_len; then steps of 1-6 live sequences, each branching from a
+    # random parent, repeats allowed
+    cfg = small_cfg(causal=True, n_layers=data.draw(st.integers(1, 3)),
+                    n_heads=data.draw(st.sampled_from([1, 2, 4])))
     params = tf.init_params(cfg, 20, np.random.default_rng(1))
     n = data.draw(st.one_of(st.just(1), st.integers(2, 6),
                             st.integers(cfg.max_len - 4, cfg.max_len)))
@@ -354,8 +367,9 @@ def test_cached_reorder_rejects_bad_parents(dec_setup, parents, named):
 
 
 def test_cached_decode_rejects_other_weights_or_config(dec_setup):
-    # the cache holds packed copies of the prefix pass's weights, so a step
-    # with another dict or config must not mix the two models
+    # the cache holds keys and values computed under the prefix pass's
+    # weights, so a step with another dict or config must not mix the two
+    # models
     cfg, params = dec_setup
     cache = tf.KVCache()
     tf.cached_next_logits(params, cfg, [[4, 5, 6]], cache)
