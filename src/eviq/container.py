@@ -1,61 +1,55 @@
-"""On-disk container: magic, version, JSON header, payload, checksum.
+"""On-disk container: magic, version, payload length, payload, sha256.
 
-The retrieval index is stored in it.  All integers are little-endian; the
+The retrieval index is stored in it.  The magic is 8 bytes, the version a
+little-endian uint32 and the payload length a little-endian uint64; the
 trailing sha256 covers every preceding byte, so a single flipped bit fails
-loading.
+loading.  A file must be exactly as long as its payload length says, so a
+torn file or one with bytes after the digest fails too; every such failure
+is a ContainerError naming the file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from pathlib import Path
+
+_HEAD = struct.Struct("<8sIQ")  # magic, version, payload length
+_DIGEST = 32
 
 
 class ContainerError(ValueError):
     pass
 
 
-def write_container(path, magic: bytes, version: int, header: dict,
-                    payload: bytes) -> None:
+def write_container(path, magic: bytes, version: int, payload: bytes) -> None:
     if len(magic) != 8:
         raise ContainerError("magic must be exactly 8 bytes")
-    hdr = json.dumps(header, sort_keys=True, separators=(",", ":"),
-                     ensure_ascii=True).encode("utf-8")
-    blob = (magic + struct.pack("<I", version)
-            + struct.pack("<Q", len(hdr)) + hdr
-            + struct.pack("<Q", len(payload)) + payload)
-    digest = hashlib.sha256(blob).digest()
+    blob = _HEAD.pack(magic, version, len(payload)) + payload
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(blob)
-        fh.write(digest)
+        fh.write(hashlib.sha256(blob).digest())
     tmp.replace(path)
 
 
-def read_container(path, magic: bytes, version: int) -> tuple[dict, bytes]:
+def read_container(path, magic: bytes, version: int) -> bytes:
+    """The payload of a container written with this magic and version."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 8 + 4 + 8 + 8 + 32:
+    if len(raw) < _HEAD.size + _DIGEST:
         raise ContainerError(f"{path}: truncated container")
-    if raw[:8] != magic:
-        raise ContainerError(f"{path}: bad magic {raw[:8]!r}, want {magic!r}")
-    got_version = struct.unpack_from("<I", raw, 8)[0]
+    got_magic, got_version, payload_len = _HEAD.unpack_from(raw)
+    if got_magic != magic:
+        raise ContainerError(f"{path}: bad magic {got_magic!r}, want {magic!r}")
     if got_version != version:
         raise ContainerError(
             f"{path}: format version {got_version}, this build reads {version}")
-    body, digest = raw[:-32], raw[-32:]
+    want = _HEAD.size + payload_len + _DIGEST
+    if len(raw) != want:
+        raise ContainerError(f"{path}: file is {len(raw)} bytes, its "
+                             f"{payload_len}-byte payload needs {want}")
+    body, digest = raw[:-_DIGEST], raw[-_DIGEST:]
     if hashlib.sha256(body).digest() != digest:
         raise ContainerError(f"{path}: checksum mismatch, file is corrupt")
-    off = 12
-    hdr_len = struct.unpack_from("<Q", raw, off)[0]
-    off += 8
-    header = json.loads(raw[off:off + hdr_len].decode("utf-8"))
-    off += hdr_len
-    payload_len = struct.unpack_from("<Q", raw, off)[0]
-    off += 8
-    payload = body[off:off + payload_len]
-    if len(payload) != payload_len:
-        raise ContainerError(f"{path}: payload shorter than declared")
-    return header, payload
+    return body[_HEAD.size:]

@@ -7,19 +7,21 @@ A result is held as two read-only arrays, doc ids and scores, whether it
 comes from a search or a cache reload; its EvidenceItems are built on the
 first read of ``items`` and kept, so a result nothing reads builds none.
 
-The postings are one flat (nnz, 2) little-endian uint32 array of (doc id, tf)
-rows, term by term in sorted term order, doc ids ascending within a term; the
-index keeps, saves and loads it in one block, and ``postings`` maps a term to
-its view of the block by bisecting the sorted terms on each lookup.
-Each build or load also computes every posting's BM25 weight once,
-idf * tf * (k1 + 1) / (tf + norm), with the float operations of the scalar
-`bm25_score` in its order.  A search adds its query terms' weights into one
-score buffer, term by term in query order, so each doc's weights are summed
-from 0.0 in the order `bm25_score` sums them and every score equals it to
-the bit.  Ranking is (score desc, doc id asc).  The k-th largest score of a
-strided sample of the scores bounds the k-th largest score from below; only
-the few docs above that bound are sorted, and the docs tied at the k-th
-score are cut by doc id without being sorted.
+The index file holds only the doc texts, in a checksummed container (see
+container.py); everything else is derived from them, and `load` hands the
+texts to the constructor, the one place an index is built.  The constructor
+derives the postings in one pass over the tokens: one flat (nnz, 2)
+little-endian uint32 array of (doc id, tf) rows, term by term in sorted term
+order, doc ids ascending within a term, and ``postings`` maps a term to its
+view of the array by bisecting the sorted terms on each lookup.  It also
+computes every posting's BM25 weight once, idf * tf * (k1 + 1) / (tf + norm),
+with the float operations of the scalar `bm25_score` in its order.  A search
+adds its query terms' weights into one score buffer, term by term in query
+order, so each doc's weights are summed from 0.0 in the order `bm25_score`
+sums them and every score equals it to the bit.  Ranking is (score desc, doc
+id asc).  The k-th largest score of a strided sample of the scores bounds the
+k-th largest score from below; only the few docs above that bound are sorted,
+and the docs tied at the k-th score are cut by doc id without being sorted.
 
 `RetrievalCache` persists one ASCII line per record in a `-v3.txt` file:
 the CRC-32 of the rest of the line, then the event's UTF-8 bytes, the
@@ -36,10 +38,9 @@ import struct
 import zlib
 from binascii import hexlify, unhexlify
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -63,7 +64,7 @@ STOPWORDS = frozenset((
 EMPTY_DOC_ID = -1
 
 _MAGIC = b"EVQINDX1"
-_VERSION = 2
+_VERSION = 3
 _U32 = np.dtype("<u4")
 _F64 = np.dtype("<f8")
 
@@ -146,13 +147,14 @@ class _Postings(Mapping):
 class InvertedIndex:
     """Immutable BM25 index: doc store, postings, lengths, average length.
 
-    Every posting is a (doc id, tf) row of one flat ``(nnz, 2)`` little-endian
-    uint32 array, grouped by term in sorted term order, doc ids ascending
-    within a term, so a term held by every doc has exactly the doc ids
-    0..n-1 and its weights are a dense row over the docs.  ``postings`` maps
-    each term, in that order, to its read-only ``(df, 2)`` view of the
-    array, made on each lookup.  ``doc_tokens`` holds each doc's tokens as a
-    tuple.
+    Built only by the constructor, from the doc texts: `build` reads them from
+    a corpus file and `load` from a saved index.  Every posting is a (doc id,
+    tf) row of one flat ``(nnz, 2)`` little-endian uint32 array, grouped by
+    term in sorted term order, doc ids ascending within a term, so a term held
+    by every doc has exactly the doc ids 0..n-1 and its weights are a dense
+    row over the docs.  ``postings`` maps each term, in that order, to its
+    read-only ``(df, 2)`` view of the array, made on each lookup.
+    ``doc_tokens`` holds each doc's tokens as a tuple.
     """
 
     def __init__(self, raw_docs: list[str]):
@@ -160,43 +162,36 @@ class InvertedIndex:
             raise IndexError_("corpus is empty, nothing to index")
         self.raw_docs = list(raw_docs)
         self.doc_tokens = [tuple(tokenize(d)) for d in self.raw_docs]
-        term_ids: dict[str, int] = {}
-        tids, docs, tfs = [], [], []
-        for doc_id, toks in enumerate(self.doc_tokens):
-            for term, tf in Counter(toks).items():
-                tids.append(term_ids.setdefault(term, len(term_ids)))
-                docs.append(doc_id)
-                tfs.append(tf)
-        terms = sorted(term_ids)
-        rank = np.empty(len(terms), dtype=np.int64)
-        rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
-        term_rank = rank[np.asarray(tids, dtype=np.int64)]
-        order = np.argsort(term_rank, kind="stable")  # keeps doc ids ascending
-        flat = np.empty((len(order), 2), dtype=_U32)
-        flat[:, 0] = np.asarray(docs, dtype=np.int64)[order]
-        flat[:, 1] = np.asarray(tfs, dtype=np.int64)[order]
-        self._set_postings(terms, np.bincount(term_rank, minlength=len(terms)), flat)
-
-    def _set_postings(self, terms: list, df, flat) -> None:
-        """Attach the postings array; derive doc lengths and posting weights."""
-        self.n_docs = len(self.raw_docs)
+        self.n_docs = n = len(self.raw_docs)
         self.doc_lengths = [len(t) for t in self.doc_tokens]
-        self.avg_doc_length = sum(self.doc_lengths) / self.n_docs
+        self.avg_doc_length = sum(self.doc_lengths) / n
+        tokens = list(chain.from_iterable(self.doc_tokens))
+        self._terms = terms = sorted(set(tokens))
+        rank = dict(zip(terms, range(len(terms))))
+        # one key per token, term rank major and doc id minor: the sorted
+        # distinct keys are the postings in (term, doc id) order and their
+        # counts are the tfs
+        keys, counts = np.unique(np.fromiter(map(rank.__getitem__, tokens), np.int64, len(tokens))
+                                 * n + np.repeat(np.arange(n), self.doc_lengths),
+                                 return_counts=True)
+        term_rank, doc_ids = np.divmod(keys, n)
+        df = np.bincount(term_rank, minlength=len(terms))
+        flat = np.empty((len(keys), 2), dtype=_U32)
+        flat[:, 0], flat[:, 1] = doc_ids, counts
         flat.flags.writeable = False
         self._postings = flat
         # term i of the sorted terms holds postings bounds[i]:bounds[i + 1]
-        self._terms = terms
-        self._bounds = [0] + np.cumsum(df, dtype=np.int64).tolist()
+        self._bounds = [0] + np.cumsum(df).tolist()
         self.postings = _Postings(terms, self._bounds, flat)
         # K1 * (1 - B + B * dl / avgdl), the same float ops bm25_score makes;
         # a corpus with no tokens has no postings, so its norm is never read
         dl = np.asarray(self.doc_lengths, dtype=np.float64)
         norm = (K1 * (1.0 - B + B * dl / self.avg_doc_length)
-                if self.avg_doc_length else np.zeros(self.n_docs))
-        # idf comes from math.log, as in idf(), once per distinct df; the
-        # weight is bm25_score's term expression in its operation order
+                if self.avg_doc_length else np.zeros(n))
+        # idf comes from math.log, as in bm25_score, once per distinct df;
+        # the weight is bm25_score's term expression in its operation order
         dfs, inverse = np.unique(df, return_inverse=True)
-        term_idf = np.array([_idf(self.n_docs, d) for d in dfs.tolist()])[inverse]
+        term_idf = np.array([_idf(n, d) for d in dfs.tolist()])[inverse]
         tf = flat[:, 1].astype(np.float64)
         self._weights = np.repeat(term_idf, df) * tf * (K1 + 1.0) / (tf + norm[flat[:, 0]])
 
@@ -209,74 +204,44 @@ class InvertedIndex:
 
     # --- persistence -------------------------------------------------------
     #
-    # Payload: n_docs, n_terms (uint32 each); the uint32 arrays doc byte
-    # lengths (n_docs), term byte lengths (n_terms) and df (n_terms); the
-    # postings array as it sits in memory (sum(df) rows); then the UTF-8 doc
-    # texts and terms back to back.  Doc lengths are recounted on load.
+    # Payload: n_docs (uint32), the uint32 byte length of each doc's UTF-8
+    # text, then the texts back to back.  Everything else is derived from the
+    # texts, so load hands them to the constructor.
 
     def save(self, path) -> None:
         doc_bytes = [d.encode("utf-8") for d in self.raw_docs]
-        term_bytes = [t.encode("utf-8") for t in self._terms]
-        sizes = ([len(b) for b in doc_bytes] + [len(b) for b in term_bytes]
-                 + np.diff(self._bounds).tolist())
-        payload = b"".join([struct.pack("<II", self.n_docs, len(term_bytes)),
-                            np.asarray(sizes, dtype=_U32).tobytes(),
-                            self._postings.tobytes(), *doc_bytes, *term_bytes])
-        write_container(path, _MAGIC, _VERSION, {}, payload)
+        sizes = np.array([len(b) for b in doc_bytes], dtype=_U32)
+        write_container(path, _MAGIC, _VERSION,
+                        b"".join([struct.pack("<I", self.n_docs), sizes.tobytes(), *doc_bytes]))
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
         """Read a saved index; a payload that is not one raises IndexError_."""
-        _, payload = read_container(path, _MAGIC, _VERSION)
+        payload = read_container(path, _MAGIC, _VERSION)
 
         def bad(why: str) -> IndexError_:
             return IndexError_(f"{path}: {why}")
 
-        if len(payload) < 8:
-            raise bad("payload shorter than its counts")
-        n_docs, n_terms = struct.unpack_from("<II", payload)
+        if len(payload) < 4:
+            raise bad("payload shorter than its doc count")
+        (n_docs,) = struct.unpack_from("<I", payload)
         if n_docs == 0:
             raise bad("corpus is empty")
-        table_end = 8 + 4 * (n_docs + 2 * n_terms)
-        if len(payload) < table_end:
-            raise bad("payload shorter than its size tables")
-        sizes = np.frombuffer(payload, _U32, n_docs + 2 * n_terms, 8).astype(np.int64)
-        text_bytes = sizes[:n_docs + n_terms]
-        df = sizes[n_docs + n_terms:]
-        nnz = int(df.sum())
-        block = len(payload) - table_end - int(text_bytes.sum())
-        if block != 8 * nnz:
-            raise bad(f"postings block is {block} bytes, the term table's "
-                      f"df sum of {nnz} needs {8 * nnz}")
-        if (df == 0).any():
-            raise bad("a term has no postings")
-        flat = np.frombuffer(payload, _U32, 2 * nnz, table_end).reshape(nnz, 2)
-        docs, tf = flat[:, 0].astype(np.int64), flat[:, 1]
-        if (docs >= n_docs).any():
-            raise bad(f"doc id {docs.max()} outside 0..{n_docs - 1}")
-        if (tf == 0).any():
-            raise bad("a posting has tf 0")
-        step = np.diff(docs)
-        step[np.cumsum(df)[:-1] - 1] = 1  # each term starts afresh
-        if (step <= 0).any():
-            raise bad("doc ids do not ascend within a term")
-        cuts = np.cumsum(text_bytes).tolist()
-        text = payload[table_end + 8 * nnz:]
+        start = 4 + 4 * n_docs
+        if len(payload) < start:
+            raise bad(f"payload of {len(payload)} bytes is shorter than the "
+                      f"size table of {n_docs} docs")
+        cuts = (np.cumsum(np.frombuffer(payload, _U32, n_docs, 4), dtype=np.int64)
+                + start).tolist()
+        if cuts[-1] > len(payload):
+            raise bad(f"doc sizes overrun the payload by {cuts[-1] - len(payload)} bytes")
+        if cuts[-1] < len(payload):
+            raise bad(f"{len(payload) - cuts[-1]} bytes left after the last doc")
         try:
-            strings = [text[a:b].decode("utf-8") for a, b in zip([0] + cuts, cuts)]
+            raw_docs = [payload[a:b].decode("utf-8") for a, b in zip([start] + cuts, cuts)]
         except UnicodeDecodeError:
-            raise bad("doc or term text is not UTF-8") from None
-        raw_docs, terms = strings[:n_docs], strings[n_docs:]
-        if any(a >= b for a, b in zip(terms, terms[1:])):
-            raise bad("terms are not unique and sorted")
-        idx = cls.__new__(cls)
-        idx.raw_docs = raw_docs
-        idx.doc_tokens = [tuple(tokenize(d)) for d in raw_docs]
-        if not np.array_equal(np.bincount(docs, weights=tf, minlength=n_docs),
-                              [len(t) for t in idx.doc_tokens]):
-            raise bad("postings disagree with the doc texts' token counts")
-        idx._set_postings(terms, df, flat)
-        return idx
+            raise bad("a doc text is not UTF-8") from None
+        return cls(raw_docs)
 
     def fingerprint(self) -> str:
         """Stable digest of the indexed corpus, for cache keys."""
@@ -287,9 +252,6 @@ class InvertedIndex:
         return h.hexdigest()
 
     # --- scoring -----------------------------------------------------------
-
-    def idf(self, term: str) -> float:
-        return _idf(self.n_docs, len(self.postings.get(term, ())))
 
     def bm25_score(self, query_terms, doc_id: int) -> float:
         """Okapi BM25 of one document; absent terms contribute zero.
@@ -309,7 +271,7 @@ class InvertedIndex:
             if i == len(plist) or plist[i, 0] != doc_id:
                 continue
             tf = int(plist[i, 1])
-            score += self.idf(term) * tf * (K1 + 1.0) / (tf + norm)
+            score += _idf(self.n_docs, len(plist)) * tf * (K1 + 1.0) / (tf + norm)
         return score
 
     def event_query(self, event: str) -> list[str]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import warnings
@@ -51,9 +52,13 @@ def test_bm25_matches_brute_force_formula(idx3):
 
 def test_idf_formula(idx3):
     # "cat" in 2 of 3 docs
-    assert idx3.idf("cat") == pytest.approx(
-        math.log((3 - 2 + 0.5) / (2 + 0.5) + 1.0), abs=1e-12)
-    assert idx3.idf("absent") == pytest.approx(math.log(3.5 / 0.5 + 1.0))
+    cat = math.log((3 - 2 + 0.5) / (2 + 0.5) + 1.0)
+    assert rt._idf(3, 2) == pytest.approx(cat, abs=1e-12)
+    assert rt._idf(3, 0) == pytest.approx(math.log(3.5 / 0.5 + 1.0))
+    # doc 0 holds "cat" once, so its one-term score is the idf times 2.2 / (1 + norm)
+    norm = rt.K1 * (1 - rt.B + rt.B * idx3.doc_lengths[0] / idx3.avg_doc_length)
+    assert idx3.bm25_score(["cat"], 0) == pytest.approx(cat * (rt.K1 + 1) / (1 + norm), abs=1e-12)
+    assert idx3.bm25_score(["absent"], 0) == 0.0
 
 
 def test_ranking_matches_score_all_then_sort(idx3):
@@ -391,7 +396,7 @@ def _reference_search_topk(index, event, k):
         plist = index.postings.get(term)
         if plist is None:
             continue
-        idf = index.idf(term)
+        idf = rt._idf(index.n_docs, len(plist))
         for doc_id, tf in plist.tolist():
             dl = index.doc_lengths[doc_id]
             norm = rt.K1 * (1.0 - rt.B + rt.B * dl / index.avg_doc_length)
@@ -442,7 +447,7 @@ def _python_float_weights(index):
         for doc_id, tf in plist.tolist():
             norm = rt.K1 * (1.0 - rt.B + rt.B * index.doc_lengths[doc_id]
                             / index.avg_doc_length)
-            yield index.idf(term) * tf * (rt.K1 + 1.0) / (tf + norm)
+            yield rt._idf(index.n_docs, len(plist)) * tf * (rt.K1 + 1.0) / (tf + norm)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -588,60 +593,84 @@ def test_evidence_items_are_immutable_named_fields():
         a.score = 3.0
 
 
-def _index_payload(docs, terms, df, postings):
-    # a version-2 index payload assembled by hand, field by field
-    doc_b = [d.encode("utf-8") for d in docs]
-    term_b = [t.encode("utf-8") for t in terms]
-    sizes = [len(b) for b in doc_b] + [len(b) for b in term_b] + list(df)
-    return (struct.pack("<II", len(docs), len(terms))
-            + np.asarray(sizes, dtype="<u4").tobytes()
-            + np.asarray(postings, dtype="<u4").reshape(-1, 2).tobytes()
-            + b"".join(doc_b + term_b))
+def _index_payload(texts, sizes=None, n_docs=None):
+    # a version-3 index payload assembled by hand: the doc count, one uint32
+    # byte size per doc, then the texts; sizes and count default to the texts'
+    sizes = [len(t) for t in texts] if sizes is None else sizes
+    n_docs = len(sizes) if n_docs is None else n_docs
+    return (struct.pack("<I", n_docs) + np.asarray(sizes, dtype="<u4").tobytes()
+            + b"".join(texts))
 
 
-LOAD_DOCS = ["cat sat", "cat"]
-CAT_SAT = (["cat", "sat"], [2, 1])        # terms and their df
-LOAD_POSTINGS = [[0, 1], [1, 1], [0, 1]]  # cat: docs 0 and 1; sat: doc 0
+def _index_file(path, payload):
+    write_container(path, rt._MAGIC, rt._VERSION, payload)
+    return path
+
+
+LOAD_DOCS = ["cat sat", "naïve 猫\n", ""]
 
 
 def test_hand_built_payload_loads_like_the_built_index(tmp_path):
-    p = tmp_path / "hand.evqi"
-    write_container(p, rt._MAGIC, rt._VERSION, {},
-                    _index_payload(LOAD_DOCS, *CAT_SAT, LOAD_POSTINGS))
+    p = _index_file(tmp_path / "hand.evqi", _index_payload([d.encode() for d in LOAD_DOCS]))
     back, built = rt.InvertedIndex.load(p), rt.InvertedIndex(LOAD_DOCS)
-    assert list(back.postings) == list(built.postings) == ["cat", "sat"]
-    for t in built.postings:
-        assert np.array_equal(back.postings[t], built.postings[t])
-    assert _exact(back.search_topk("cat sat", 2)) == _exact(built.search_topk("cat sat", 2))
+    assert back.raw_docs == LOAD_DOCS and back.doc_tokens == built.doc_tokens
+    assert list(back.postings) == list(built.postings) == ["cat", "na", "sat", "ve", "ï", "猫"]
+    assert np.array_equal(back._postings, built._postings)
+    assert _exact(back.search_topk("cat 猫", 3)) == _exact(built.search_topk("cat 猫", 3))
 
 
-@pytest.mark.parametrize("table, postings, why", [
-    (CAT_SAT, LOAD_POSTINGS[:2], "postings block is 16 bytes"),
-    (CAT_SAT, LOAD_POSTINGS + [[1, 1]], "postings block is 32 bytes"),
-    (CAT_SAT, [[0, 1], [2, 1], [0, 1]], "doc id 2 outside 0..1"),
-    (CAT_SAT, [[0, 1], [1, 0], [0, 1]], "tf 0"),
-    (CAT_SAT, [[1, 1], [0, 1], [0, 1]], "do not ascend"),
-    (CAT_SAT, [[0, 1], [0, 1], [1, 1]], "do not ascend"),
-    (CAT_SAT, [[0, 1], [1, 2], [0, 1]], "token counts"),
-    ((["sat", "cat"], [1, 2]), [[0, 1], [0, 1], [1, 1]], "unique and sorted"),
-    ((["cat", "dog", "sat"], [2, 0, 1]), LOAD_POSTINGS, "no postings"),
-], ids=["short", "long", "doc-id", "tf-zero", "descending", "repeated",
-        "tf-sum", "unsorted-terms", "empty-term"])
-def test_load_rejects_malformed_postings(tmp_path, table, postings, why):
-    p = tmp_path / "bad.evqi"
-    write_container(p, rt._MAGIC, rt._VERSION, {},
-                    _index_payload(LOAD_DOCS, *table, postings))
+@pytest.mark.parametrize("payload, why", [
+    (b"\x02\x00\x00", "payload shorter than its doc count"),
+    (_index_payload([]), "corpus is empty"),
+    (_index_payload([b"cat", b"sat"], n_docs=4), "shorter than the size table of 4 docs"),
+    (_index_payload([b"cat", b"sat"], sizes=[3, 5]), "doc sizes overrun the payload by 2 bytes"),
+    (_index_payload([b"cat", b"sat"], sizes=[3, 1]), "2 bytes left after the last doc"),
+    (_index_payload([b"cat", b"s\xffat"]), "not UTF-8"),
+    (_index_payload(["é".encode()], sizes=[1, 1]), "not UTF-8"),  # a size splits a character
+], ids=["short", "zero-docs", "table-past-payload", "sizes-overrun", "trailing-bytes",
+        "not-utf8", "split-character"])
+def test_load_rejects_malformed_payload(tmp_path, payload, why):
+    p = _index_file(tmp_path / "bad.evqi", payload)
     with pytest.raises(rt.IndexError_) as e:
         rt.InvertedIndex.load(p)
     assert str(p) in str(e.value) and why in str(e.value)
 
 
 def test_load_rejects_previous_format_version(tmp_path):
-    p = tmp_path / "v1.evqi"
-    write_container(p, rt._MAGIC, 1, {}, b"")
+    # the docs "cat sat" and "cat" as version 2 wrote them: a JSON header,
+    # then a payload carrying the term table and postings, under a valid digest
+    payload = (struct.pack("<II", 2, 2) + np.array([7, 3, 3, 3, 2, 1], dtype="<u4").tobytes()
+               + np.array([[0, 1], [1, 1], [0, 1]], dtype="<u4").tobytes() + b"cat satcatcatsat")
+    body = (rt._MAGIC + struct.pack("<IQ", 2, 2) + b"{}"
+            + struct.pack("<Q", len(payload)) + payload)
+    p = tmp_path / "v2.evqi"
+    p.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(ContainerError) as e:
         rt.InvertedIndex.load(p)
-    assert "version 1" in str(e.value) and f"reads {rt._VERSION}" in str(e.value)
+    assert "version 2" in str(e.value) and f"reads {rt._VERSION}" in str(e.value)
+
+
+# sha256 of the file InvertedIndex(DOCS3).save writes, by index format
+# version, and the line RetrievalCache(InvertedIndex(DOCS3), k=3) appends for
+# "the cat", by cache file-name suffix: a layout change that does not bump
+# its version fails here instead of misreading files written before it
+INDEX_FILE_SHA256 = {
+    3: "72fb3f7e5162409607151ca46db5814f7efdac05afa1a2460022d697f072fa1b",
+}
+CACHE_RECORD = {
+    "-v3.txt": b"4c8d7160 74686520636174 0000000001000000"
+               b" 03c1212efdbdde3f03c1212efdbdde3f\n",
+}
+
+
+def test_on_disk_formats_are_pinned_to_their_versions(tmp_path, idx3):
+    idx3.save(tmp_path / "pinned.evqi")
+    assert hashlib.sha256((tmp_path / "pinned.evqi").read_bytes()).hexdigest() \
+        == INDEX_FILE_SHA256[rt._VERSION]
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    name = cache.path.name
+    assert cache.path.read_bytes() == CACHE_RECORD[name[name.rindex("-"):]]
 
 
 def test_corpus_without_tokens_builds_and_searches(tmp_path):
@@ -750,3 +779,43 @@ def test_postings_mapping_matches_the_old_dict(tmp_path, docs):
             assert p.get(missing, ()) == () and p.get(missing) is None
             with pytest.raises(KeyError):
                 p[missing]
+
+
+def _assert_postings_are_the_dict(index):
+    want = _postings_as_a_dict(index)
+    assert list(index.postings) == list(want)
+    for term, rows in want.items():
+        assert np.array_equal(index.postings[term], rows)
+
+
+# words, blanks and newlines to join into docs: repeated terms, non-ASCII
+# letters the tokenizer splits off, possessives and punctuation
+DOC_PIECES = ["cat", "Cat", "café", "猫", "naïve", "the", "'s", "x1", "-", " ", "  ", "\n", "\t"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(docs=st.lists(st.lists(st.sampled_from(DOC_PIECES), max_size=14).map("".join)
+                     | st.text(max_size=12), min_size=1, max_size=20),
+       query=st.lists(st.sampled_from(DOC_PIECES[:6]), min_size=1, max_size=4).map(" ".join))
+@example(docs=["", " ", "\n"], query="cat")
+@example(docs=["cat cat\ncat", "猫 naïve café's", "cat\n"], query="cat cat 猫")
+def test_saved_index_loads_as_the_built_one(tmp_path_factory, docs, query):
+    built = rt.InvertedIndex(docs)
+    path = tmp_path_factory.mktemp("round") / "index.evqi"
+    built.save(path)
+    back = rt.InvertedIndex.load(path)
+    assert back.raw_docs == built.raw_docs == docs
+    assert back.doc_tokens == built.doc_tokens
+    for index in (built, back):
+        _assert_postings_are_the_dict(index)
+    assert back._weights.tobytes() == built._weights.tobytes()
+    assert back.fingerprint() == built.fingerprint()
+    assert _exact(back.search_topk(query, len(docs))) == _exact(built.search_topk(query, len(docs)))
+
+
+def test_built_postings_are_the_dict_on_the_14k_event_toy_corpus(tmp_path):
+    # the corpus size of the benchmark's retrieve workload, about 21k docs
+    make_toy_dataset(5, 14000, 8, tmp_path / "toy")
+    idx = rt.InvertedIndex.build(tmp_path / "toy" / "corpus.txt")
+    assert idx.n_docs > 20000
+    _assert_postings_are_the_dict(idx)
