@@ -7,14 +7,13 @@ Scoring sums next-token log-probabilities over the target positions
 
 Decoding is a beam search with deterministic tie-breaking whose final
 ranking is the mean log-probability per token.  It runs the decoder
-incrementally: one forward over the prefix fills a per-layer key/value
-cache, and each step after that is one forward over just the live
-hypotheses' newest tokens, one row each, attending to the cache.
-Survivors come from the (hypotheses, vocab) matrix of cumulative
-log-probabilities: the entries at or above its 2*width-th largest value
-are the only ones the keep and finish rules can reach, and one lexsort
-orders them by score, then by token sequence.  The cache then follows each
-survivor's parent.
+incrementally: building the key/value cache runs one forward over the
+prefix and gives its next-token logits, and each later step is one cache
+step: the survivors' parents and newest tokens in, one logit row per
+survivor out.  Survivors come from the (hypotheses, vocab) matrix of
+cumulative log-probabilities: the entries at or above its 2*width-th
+largest value are the only ones the keep and finish rules can reach, and
+one lexsort orders them by score, then by token sequence.
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ from .textdata import (
     MAX_INFERENCE_TOKENS,
     Vocab,
 )
-from .transformer import (
-    KVCache,
-    TransformerConfig,
-    cached_next_logits,
-    decoder_forward,
-)
+from .transformer import KVCache, TransformerConfig, decoder_forward
 
 _SEGMENT_CAPS = (("evidence", MAX_EVIDENCE_TOKENS),
                  ("event", MAX_EVENT_TOKENS),
@@ -169,16 +163,14 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
     if len(prefix) + max_steps > config.max_len:
         raise ShapeError(f"prefix {len(prefix)} + {max_steps} decode steps "
                          f"exceeds max_len {config.max_len}")
-    cache = KVCache()
-    logp = log_softmax(cached_next_logits(params, config, [prefix], cache))
+    cache = KVCache(params, config, prefix)
+    logp = log_softmax(cache.logits)
     tokens = np.zeros((1, 0), dtype=np.int64)   # one row per live hypothesis
     cum = np.zeros(1)                           # their raw log-probabilities
     finished: list[Hypothesis] = []
     for step in range(max_steps):
         if step:
-            cache.reorder(parents)
-            logp = log_softmax(cached_next_logits(params, config,
-                                                  tokens[:, -1:], cache))
+            logp = log_softmax(cache.step(parents, tokens[:, -1]))
         scores = (cum[:, None] + logp).ravel()
         # each parent has one end-marked expansion, so the first width
         # unfinished survivors sit in the top 2*width; ties at the cut stay

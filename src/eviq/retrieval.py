@@ -73,6 +73,16 @@ class IndexError_(ValueError):
     pass
 
 
+def _utf8(text: str, kind: str, name) -> bytes:
+    """text's UTF-8 bytes; IndexError_ naming it when it has none, as text
+    holding a lone surrogate has none."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise IndexError_(f"{kind} {name} is not UTF-8 text: {e.reason} at "
+                          f"character {e.start}") from None
+
+
 def _idf(n_docs: int, df: int) -> float:
     return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
@@ -154,13 +164,16 @@ class InvertedIndex:
     by every doc has exactly the doc ids 0..n-1 and its weights are a dense
     row over the docs.  ``postings`` maps each term, in that order, to its
     read-only ``(df, 2)`` view of the array, made on each lookup.
-    ``doc_tokens`` holds each doc's tokens as a tuple.
+    ``doc_tokens`` holds each doc's tokens as a tuple.  Each doc is encoded
+    to UTF-8 once, here, for `save` and `fingerprint`; a doc with no UTF-8
+    form raises IndexError_ naming it.
     """
 
     def __init__(self, raw_docs: list[str]):
         if not raw_docs:
             raise IndexError_("corpus is empty, nothing to index")
         self.raw_docs = list(raw_docs)
+        self._doc_bytes = [_utf8(d, "doc", i) for i, d in enumerate(self.raw_docs)]
         self.doc_tokens = [tuple(tokenize(d)) for d in self.raw_docs]
         self.n_docs = n = len(self.raw_docs)
         self.doc_lengths = [len(t) for t in self.doc_tokens]
@@ -209,10 +222,10 @@ class InvertedIndex:
     # texts, so load hands them to the constructor.
 
     def save(self, path) -> None:
-        doc_bytes = [d.encode("utf-8") for d in self.raw_docs]
-        sizes = np.array([len(b) for b in doc_bytes], dtype=_U32)
+        sizes = np.array([len(b) for b in self._doc_bytes], dtype=_U32)
         write_container(path, _MAGIC, _VERSION,
-                        b"".join([struct.pack("<I", self.n_docs), sizes.tobytes(), *doc_bytes]))
+                        b"".join([struct.pack("<I", self.n_docs), sizes.tobytes(),
+                                  *self._doc_bytes]))
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
@@ -244,12 +257,9 @@ class InvertedIndex:
         return cls(raw_docs)
 
     def fingerprint(self) -> str:
-        """Stable digest of the indexed corpus, for cache keys."""
-        h = hashlib.sha256()
-        for d in self.raw_docs:
-            h.update(d.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        """Stable digest of the indexed corpus, for cache keys: the sha256 of
+        the doc texts, each followed by a newline."""
+        return hashlib.sha256(b"\n".join(self._doc_bytes) + b"\n").hexdigest()
 
     # --- scoring -----------------------------------------------------------
 
@@ -355,9 +365,10 @@ def _lowest_ties(scores: np.ndarray, kth: float, m: int) -> np.ndarray:
         stop *= 8
 
 
-def _record(event: str, hit: EvidenceSet) -> bytes:
-    """One cache line: CRC-32 of the text, a space, the text, a newline."""
-    text = b" ".join((hexlify(event.encode("utf-8")),
+def _record(event: bytes, hit: EvidenceSet) -> bytes:
+    """One cache line for the event's UTF-8 bytes and its hits: CRC-32 of the
+    text, a space, the text, a newline."""
+    text = b" ".join((hexlify(event),
                       hexlify(hit.doc_ids.astype(_U32).tobytes()),
                       hexlify(hit.scores.astype(_F64).tobytes())))
     return b"%08x %s\n" % (zlib.crc32(text), text)
@@ -385,23 +396,18 @@ def _parse_record(line: bytes, n_docs: int):
 
 
 class RetrievalCache:
-    """Per-(index, k) retrieval memo, optionally persisted one record a line.
-
-    Records persist in a file under cache_dir; without one the cache is
-    memory-only.  A k that search_topk would reject raises IndexError_
+    """Per-(index, k) retrieval memo, persisted one record a line in a file
+    under cache_dir.  A k that search_topk would reject raises IndexError_
     before anything is created under cache_dir.
     """
 
-    def __init__(self, index: InvertedIndex, k: int, cache_dir=None):
+    def __init__(self, index: InvertedIndex, k: int, cache_dir):
         self.index = index
         self.k = k = _check_k(k)
         self._memo: dict[str, EvidenceSet] = {}
-        self.path = None
-        if cache_dir:
-            Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            name = f"retrieval-{index.fingerprint()[:16]}-k{k}-v3.txt"
-            self.path = Path(cache_dir) / name
-            self._load()
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        self.path = Path(cache_dir) / f"retrieval-{index.fingerprint()[:16]}-k{k}-v3.txt"
+        self._load()
 
     def _load(self) -> None:
         """Read the persisted records.
@@ -419,7 +425,7 @@ class RetrievalCache:
         is not finite.  A record passing the checks is kept as its doc id and
         score arrays; its items are built when first read.
         """
-        if self.path is None or not self.path.exists():
+        if not self.path.exists():
             return
         n_docs = self.index.n_docs
         data = self.path.read_bytes()
@@ -434,11 +440,13 @@ class RetrievalCache:
             self._memo[event] = self.index.evidence_set(doc_ids, scores)
 
     def get(self, event: str) -> EvidenceSet:
+        """The event's hits: from the memo, or searched, appended and kept.
+        An event with no UTF-8 form raises IndexError_ before any search."""
         hit = self._memo.get(event)
         if hit is None:
+            key = _utf8(event, "event", repr(event))
             hit = self.index.search_topk(event, self.k)
-            if self.path is not None:
-                self._append(_record(event, hit))
+            self._append(_record(key, hit))
             self._memo[event] = hit
         return hit
 

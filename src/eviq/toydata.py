@@ -211,17 +211,10 @@ def make_toy_dataset(seed: int, n_events: int, n_clusters: int, out_path) -> Non
                            "inferences": ev.inferences},
                           sort_keys=True, ensure_ascii=True)
 
-    with open(out / "dataset.jsonl", "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(record(ev) + "\n")
-    with open(out / "train.jsonl", "w", encoding="utf-8") as fh:
-        for ev in events:
-            if ev.split == "train":
-                fh.write(record(ev) + "\n")
-    with open(out / "dev.jsonl", "w", encoding="utf-8") as fh:
-        for ev in events:
-            if ev.split == "dev":
-                fh.write(record(ev) + "\n")
+    for name, splits in (("dataset", ("train", "dev")), ("train", ("train",)),
+                         ("dev", ("dev",))):
+        with open(out / f"{name}.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(record(ev) + "\n" for ev in events if ev.split in splits)
     with open(out / "corpus.txt", "w", encoding="utf-8") as fh:
         for line in corpus:
             fh.write(line + "\n")

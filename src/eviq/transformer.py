@@ -11,12 +11,12 @@ handed the sequence lengths and the causal flag and builds its own mask, so
 no query attends across sequences and none looks ahead in a causal stack.
 The encoder packs a batch of sequences, and encoder_forward is its
 one-sequence case; the decoder forward takes one sequence, as every caller
-decodes one at a time.  Incremental decoding runs the same forward with a
-KVCache over the live hypotheses of a beam, packed one new token apiece.
-The cache's first pass, over the shared prefix, keeps every layer's prefix
-keys and values in head layout and carries only the final prefix row past
-the last layer's attention.  In each later pass, every layer projects the
-new rows as any forward does and attends each hypothesis's row to the
+decodes one at a time.  Incremental decoding runs the same forward through
+a KVCache.  Building one runs the shared prefix through it: every layer
+keeps its prefix keys and values in head layout, and only the final prefix
+row goes past the last layer's attention.  Each step then picks the live
+hypotheses of a beam and packs one new token apiece; every layer projects
+the new rows as any forward does and attends each hypothesis's row to the
 prefix and to that hypothesis's own decoded rows, with no mask; its keys
 and values join those rows.
 """
@@ -112,43 +112,67 @@ def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
 class KVCache:
     """Keys and values of causal decodes that share one prefix.
 
-    The first forward through the cache is the prefix pass: it runs over the
-    prefix alone and records the weights dict and config it ran with.  Every
-    layer's prefix keys and values are kept once, in head layout: keys as
-    (heads, d / heads, P), ready to score queries against, and values as
-    (heads, P, d / heads).  In the last layer only the final prefix row goes
-    past attention, since only its logits are read.
+    The constructor runs the prefix pass, untaped and without dropout, and
+    keeps the weights dict and config it ran with.  Every layer's prefix
+    keys and values are kept once, in head layout: keys as (heads, d /
+    heads, P), ready to score queries against, and values as (heads, P,
+    d / heads).  In the last layer only the final prefix row goes past
+    attention, since only its logits are read: ``logits``, the (1, vocab)
+    next-token logits after the prefix.
 
-    Each later forward, a step, takes one new token per live hypothesis.  In
-    every layer its row attends to the prefix and to that hypothesis's own
-    decoded rows, itself included: two small products, one softmax over
-    their joined scores and a weighted sum, with no mask.  Its key and value
-    join its own rows.  reorder picks the hypotheses that live on.
+    Each step picks the hypotheses that live on and takes one new token for
+    each.  In every layer its row attends to the prefix and to that
+    hypothesis's own decoded rows, itself included: two small products, one
+    softmax over their joined scores and a weighted sum, with no mask.  Its
+    key and value join a copy of its parent's decoded rows, its own from then.
     """
 
-    def __init__(self):
-        self.params = self.config = None  # the prefix pass's weights, config
+    def __init__(self, params: dict, config: TransformerConfig, prefix):
+        if not config.causal:
+            raise ValueError("cached decoding needs a causal config")
+        self.params, self.config = params, config
         self.prefix = []   # per layer: prefix keys (H, dh, P), values (H, P, dh)
         self.grown = []    # per layer: keys, values decoded since, (H, B, t, dh)
+        self._parents = None   # the running step's parent of each new row
+        self.logits = self._next_logits([prefix])
 
-    def begin(self, params: dict, config: TransformerConfig,
-              lengths: tuple) -> int:
-        """Check a forward's weights and sequence lengths; return its first
-        position.  An empty cache takes them as its own."""
+    def step(self, parents, tokens) -> np.ndarray:
+        """Live on as the hypotheses at these indices, repeats allowed, and
+        feed token j to hypothesis j; returns one (vocab,) logit row each.
+
+        parents is a non-empty 1-d sequence of integers (not bools) in
+        0..B-1 and tokens one id per parent; anything else raises ShapeError
+        naming the first bad parent or the token count.  A layer copies the
+        parents' rows only to join the new ones, so a step refused before
+        the first layer (past max_len, say) leaves the cache as it was.
+        """
+        b = self.grown[0][0].shape[1]
+        idx = np.asarray(parents)
+        if idx.ndim != 1 or not idx.size:
+            raise ShapeError("parents must be a non-empty 1-d sequence, "
+                             f"got {parents!r}")
+        for x in parents:
+            if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
+                    or not 0 <= x < b):
+                raise ShapeError(f"parent {x!r} is not an integer in "
+                                 f"0..{b - 1}")
+        tokens = np.asarray(tokens)
+        if tokens.shape != idx.shape:
+            raise ShapeError(f"{len(idx)} parents take one token apiece, "
+                             f"got tokens of shape {tokens.shape}")
+        self._parents = idx
+        return self._next_logits(tokens[:, None])
+
+    def start(self) -> int:
+        """Position of the next row through the cache: 0 in the prefix pass."""
         if not self.prefix:
-            if len(lengths) != 1:
-                raise ShapeError("an empty cache takes one prefix sequence, "
-                                 f"got {len(lengths)}")
-            self.params, self.config = params, config
             return 0
-        if params is not self.params or config != self.config:
-            raise ValueError("cache holds the decodes of other weights or "
-                             "another config")
-        _, b, t, _ = self.grown[0][0].shape
-        if lengths != (1,) * b:
-            raise ShapeError(f"cache holds {b} sequences, each forward takes "
-                             f"one token apiece; got lengths {lengths}")
-        return self.prefix[0][1].shape[1] + t
+        return self.prefix[0][1].shape[1] + self.grown[0][0].shape[2]
+
+    def _next_logits(self, seqs) -> np.ndarray:
+        with no_tape():
+            h = _forward(self.params, self.config, seqs, cache=self)
+            return matmul_nt(h, self.params["tok_emb"]).data
 
     def attend(self, i: int, q: Tensor, k: Tensor, v: Tensor,
                h: Tensor) -> tuple[Tensor, Tensor]:
@@ -170,9 +194,10 @@ class KVCache:
             if i < self.config.n_layers - 1:
                 return multihead_attention(q, k, v, heads, causal=True), h
             qh, h = qh[:, -1:], Tensor(h.data[-1:])
-        else:
-            self.grown[i] = tuple(np.concatenate([g, x[:, :, None]], axis=2)
-                                  for g, x in zip(self.grown[i], (kh, vh)))
+        else:   # a step: each new row joins its parent's decoded rows
+            self.grown[i] = tuple(
+                np.concatenate([g[:, self._parents], x[:, :, None]], axis=2)
+                for g, x in zip(self.grown[i], (kh, vh)))
         pk, pv = self.prefix[i]
         gk, gv = self.grown[i]
         scores = np.concatenate([qh @ pk, (gk @ qh[..., None])[..., 0]],
@@ -183,28 +208,6 @@ class KVCache:
         out = wts[..., :p] @ pv
         out += (wts[..., None, p:] @ gv)[..., 0, :]
         return Tensor(out.transpose(1, 0, 2).reshape(len(h.data), d)), h
-
-    def reorder(self, parents) -> None:
-        """Live on as the hypotheses at these indices, repeats allowed.
-
-        parents is a non-empty 1-d sequence of integers (not bools) in
-        0..B-1; anything else raises ShapeError naming the first bad
-        parent and leaves the cache as it was.
-        """
-        if not self.grown:
-            raise ShapeError("the cache holds no hypotheses before its "
-                             "prefix pass")
-        b = self.grown[0][0].shape[1]
-        idx = np.asarray(parents)
-        if idx.ndim != 1 or not idx.size:
-            raise ShapeError("parents must be a non-empty 1-d sequence, "
-                             f"got {parents!r}")
-        for x in parents:
-            if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
-                    or not 0 <= x < b):
-                raise ShapeError(f"parent {x!r} is not an integer in "
-                                 f"0..{b - 1}")
-        self.grown = [(k[:, idx], v[:, idx]) for k, v in self.grown]
 
 
 def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
@@ -247,7 +250,7 @@ def _forward(params: dict, config: TransformerConfig, seqs,
     lengths = tuple(map(len, seqs))
     if not lengths:
         raise ShapeError("no sequences to pack")
-    start = 0 if cache is None else cache.begin(params, config, lengths)
+    start = 0 if cache is None else cache.start()
     for n in (min(lengths), max(lengths)):
         if not 1 <= start + n <= config.max_len:
             raise ShapeError(f"sequence length {start + n} outside "
@@ -315,19 +318,3 @@ def decoder_forward(params: dict, config: TransformerConfig, token_ids,
         h = add(h, z)
     return matmul_nt(h, params["tok_emb"])
 
-
-def cached_next_logits(params: dict, config: TransformerConfig, seqs,
-                       cache: KVCache) -> np.ndarray:
-    """Next-token logits after each sequence, continuing the cache's decodes.
-
-    Untaped and without dropout.  An empty cache takes one sequence, the
-    shared prefix, and the weights and config it is run with; later calls
-    take one token per sequence the cache holds, and the same weights dict
-    and config (ValueError otherwise).  Returns one (vocab,) logit row per
-    sequence.
-    """
-    if not config.causal:
-        raise ValueError("cached decoding needs a causal config")
-    with no_tape():
-        h = _forward(params, config, seqs, cache=cache)
-        return matmul_nt(h, params["tok_emb"]).data

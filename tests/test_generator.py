@@ -267,8 +267,7 @@ def test_beam_rejects_bad_arguments(setup, monkeypatch):
     # bools and non-integers are refused before any forward runs
     vocab, cfg, params = setup
     forwards = []
-    monkeypatch.setattr(gen, "cached_next_logits",
-                        lambda *args: forwards.append(args))
+    monkeypatch.setattr(gen, "KVCache", lambda *args: forwards.append(args))
     for bad in ({"width": 0}, {"max_steps": 33}, {"width": True},
                 {"max_steps": True}, {"width": np.True_}, {"width": 2.5},
                 {"max_steps": 2.0}, {"width": "2"}):
@@ -384,41 +383,34 @@ def test_beam_tied_logits_order_by_token_id(width):
 
 def test_cached_logprobs_match_recomputation(setup, monkeypatch):
     # follow the beam's own cache: rebuild each live hypothesis from the
-    # parents it is reordered by and the tokens it is fed, then compare the
-    # cached next-token distribution with a forward over the whole sequence
+    # parents and tokens each step takes, then compare the cached next-token
+    # distribution with a forward over the whole sequence
     vocab, cfg, params = setup
     calls = []
 
     class Recording(tf.KVCache):
-        def reorder(self, parents):
-            calls.append(("reorder", np.array(parents)))
-            super().reorder(parents)
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls.append(((), (), self.logits))
 
-    def recording_logits(params_, cfg_, seqs, cache):
-        out = tf.cached_next_logits(params_, cfg_, seqs, cache)
-        calls.append(("forward", np.asarray(seqs), out))
-        return out
+        def step(self, parents, tokens):
+            out = super().step(parents, tokens)
+            calls.append((list(parents), tokens.tolist(), out))
+            return out
 
     monkeypatch.setattr(gen, "KVCache", Recording)
-    monkeypatch.setattr(gen, "cached_next_logits", recording_logits)
     ev, x = _ids(vocab, "alpha"), _ids(vocab, "beta", "gamma")
     gen.beam_search(params, cfg, vocab, ev, x, "xReact", width=4,
                     max_steps=6)
     prefix = gen.assemble(vocab, cfg, ev, x, "xReact").input_ids
-    live, shared, checked = [()], False, 0
-    for call in calls:
-        if call[0] == "reorder":
-            parents = call[1]
-            shared |= len(set(parents.tolist())) < len(parents)
-            live = [live[p] for p in parents]
-            continue
-        seqs, logits = call[1], call[2]
-        if checked:   # later forwards feed one token per live hypothesis
-            live = [h + (int(s[0]),) for h, s in zip(live, seqs)]
+    live, shared = [()], False
+    for parents, tokens, logits in calls:
+        if parents:   # a step: each survivor's parent, then its new token
+            shared |= len(set(parents)) < len(parents)
+            live = [live[p] + (t,) for p, t in zip(parents, tokens)]
         assert len(logits) == len(live)
         for hyp, row in zip(live, logits):
             want = gen.next_token_logprobs(
                 params, cfg, np.concatenate([prefix, np.array(hyp, dtype=np.int64)]))
             assert np.abs(log_softmax(row) - want).max() < 1e-10
-        checked += 1
-    assert shared and checked > 2
+    assert shared and len(calls) > 2

@@ -119,8 +119,6 @@ def test_retrieval_cache_rejects_a_bad_k_before_creating_anything(tmp_path, idx3
     with pytest.raises(rt.IndexError_, match="non-negative integer"):
         rt.RetrievalCache(idx3, k, cache_dir)
     assert not cache_dir.exists()
-    with pytest.raises(rt.IndexError_):
-        rt.RetrievalCache(idx3, k)
 
 
 @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), np.int32(0)], ids=repr)
@@ -176,6 +174,13 @@ def test_evidence_items_share_the_docs_token_tuples():
 def test_empty_corpus_rejected():
     with pytest.raises(rt.IndexError_):
         rt.InvertedIndex([])
+
+
+def test_doc_with_a_lone_surrogate_rejected_naming_it():
+    # such a doc has no UTF-8 form, so save could not write it nor
+    # fingerprint digest it
+    with pytest.raises(rt.IndexError_, match="doc 1 is not UTF-8 text: surrogates"):
+        rt.InvertedIndex(["the cat sat", "cat \ud800 sat"])
 
 
 def test_save_load_round_trip(tmp_path, idx3):
@@ -242,6 +247,21 @@ def test_reloaded_cache_returns_the_sets_it_wrote(tmp_path):
         back = again.get(event)
         assert _exact(back) == _exact(es)
         assert [it.tokens for it in back.items] == [it.tokens for it in es.items]
+
+
+def test_retrieval_cache_rejects_an_event_with_a_lone_surrogate(tmp_path, idx3,
+                                                               monkeypatch):
+    # the event has no UTF-8 form for its record, so nothing is searched,
+    # kept or appended
+    cache = rt.RetrievalCache(idx3, k=3, cache_dir=tmp_path)
+    cache.get("the cat")
+    wrote, memo = cache.path.read_bytes(), dict(cache._memo)
+    searched = []
+    monkeypatch.setattr(idx3, "search_topk", lambda *args: searched.append(args))
+    with pytest.raises(rt.IndexError_, match="event 'cat \\\\ud800' is not UTF-8"):
+        cache.get("cat \ud800")
+    assert searched == [] and cache._memo == memo
+    assert cache.path.read_bytes() == wrote
 
 
 def test_retrieval_cache_truncates_torn_final_line(tmp_path, idx3):

@@ -128,10 +128,14 @@ def test_thread_import_check_flags_each_way_of_importing():
 
 
 def _public_names(tree: ast.Module) -> list[tuple[int, str]]:
+    # module-level names, and the methods and properties of public classes
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [(n.lineno, n.name) for n in node.body
+                          if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
@@ -181,6 +185,23 @@ def test_unread_export_check_flags_a_planted_name():
                        "m.COUNT = 1\n")
     read = _names_read(module) | _names_read(reader)
     assert _unread_exports(module, read) == ["line 2: COUNT", "line 5: unused"]
+
+
+def test_unread_export_check_flags_a_planted_method():
+    module = ast.parse("class Cache:\n"
+                       "    def __init__(self):\n        self.rows = []\n"
+                       "    def step(self):\n        return self._grow()\n"
+                       "    def _grow(self):\n        return self.rows\n"
+                       "    @property\n    def size(self):\n        return 0\n"
+                       "    def reorder(self, parents):\n        pass\n"
+                       "class _Hidden:\n"
+                       "    def reorder(self):\n        pass\n")
+    reader = ast.parse("import m\n"
+                       "c = m.Cache()\n"
+                       "c.step()\n"
+                       "c.reorder = None\n")
+    read = _names_read(module) | _names_read(reader)
+    assert _unread_exports(module, read) == ["line 9: size", "line 11: reorder"]
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),

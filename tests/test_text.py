@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -124,6 +125,23 @@ def test_toy_dataset_byte_identical_for_same_seed(tmp_path):
     c = tmp_path / "c"
     make_toy_dataset(12, 16, 3, c)
     assert (a / "corpus.txt").read_bytes() != (c / "corpus.txt").read_bytes()
+
+
+# sha256 of each file make_toy_dataset(0, 200, 8, ...) writes: the size the
+# train and decode benchmarks build
+TOY_200_SHA256 = {
+    "corpus.txt": "825000a72ff1045a56a70198ecf53dc72fce77080d40ad9cd0f1cda9e9b020c7",
+    "dataset.jsonl": "5b4bbac19887e4032c2c7f970ce8fd37432d47e33cd8d13def72f22c5ea4ecdf",
+    "dev.jsonl": "988af7326fc45aef0524c2506dd08ca6335221a9efeabf1dbd56ece600b13341",
+    "meta.jsonl": "b5f463615445182a21b47bffaf390792623a10374c8a8e02d1f87f4f5c3ae6cc",
+    "train.jsonl": "46ef6ef3663019bbb65b6a4f5e9a36a05507090c18bbd93800909c7901c62bdc",
+}
+
+
+def test_toy_dataset_bytes_are_pinned(tmp_path):
+    make_toy_dataset(0, 200, 8, tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == TOY_200_SHA256
 
 
 def test_toy_events_appear_verbatim_in_corpus(tmp_path):

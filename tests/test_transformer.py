@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,33 +279,46 @@ def test_cached_decode_matches_full_forward(dec_setup):
                          for s in seqs])
         assert np.abs(got - want).max() < 1e-12
 
-    cache = tf.KVCache()
     seqs = [[4, 5, 6, 7]]
-    check(tf.cached_next_logits(params, cfg, seqs, cache), seqs)
+    cache = tf.KVCache(params, cfg, seqs[0])
+    check(cache.logits, seqs)
     for parents, toks in (([0, 0], [8, 9]), ([1, 1, 0], [10, 11, 12]),
                           ([2, 0, 1], [13, 14, 15])):
-        cache.reorder(parents)
         seqs = [seqs[p] + [t] for p, t in zip(parents, toks)]
-        check(tf.cached_next_logits(params, cfg, [[t] for t in toks], cache),
-              seqs)
+        check(cache.step(parents, toks), seqs)
+
+
+def _grown_copy(cache):
+    return [tuple(x.copy() for x in kv) for kv in cache.grown]
+
+
+def _same_grown(cache, before):
+    return all(np.array_equal(x, y) for kv, kv0 in zip(cache.grown, before)
+               for x, y in zip(kv, kv0))
 
 
 def test_cached_decode_rejects_bad_shapes(dec_setup):
     cfg, params = dec_setup
-    cache = tf.KVCache()
-    with pytest.raises(ShapeError):
-        tf.cached_next_logits(params, cfg, [[4], [5]], cache)
-    tf.cached_next_logits(params, cfg, [[4] * (cfg.max_len - 1)], cache)
-    cache.reorder([0, 0])
-    with pytest.raises(ShapeError):   # one token per cached sequence
-        tf.cached_next_logits(params, cfg, [[5]], cache)
-    with pytest.raises(ShapeError):
-        tf.cached_next_logits(params, cfg, [[5, 6], [7, 8]], cache)
-    tf.cached_next_logits(params, cfg, [[5], [6]], cache)
-    with pytest.raises(ShapeError):   # past max_len
-        tf.cached_next_logits(params, cfg, [[7], [8]], cache)
+    for prefix in ([], [4] * (cfg.max_len + 1)):
+        with pytest.raises(ShapeError):
+            tf.KVCache(params, cfg, prefix)
+    cache = tf.KVCache(params, cfg, [4] * (cfg.max_len - 2))
+    cache.step([0], [5])
+    before = _grown_copy(cache)
+    for toks in ([5], [5, 6, 7], [[5, 6], [7, 8]], 5):
+        with pytest.raises(ShapeError, match="one token apiece"):
+            cache.step([0, 0], toks)
+        assert _same_grown(cache, before)
+    with pytest.raises(ShapeError, match="out of range"):   # not in the vocab
+        cache.step([0, 0], [5, 10 ** 6])
+    assert _same_grown(cache, before)
+    cache.step([0, 0], [5, 6])
+    before = _grown_copy(cache)
+    with pytest.raises(ShapeError, match="outside"):   # past max_len
+        cache.step([1, 0], [7, 8])
+    assert _same_grown(cache, before)
     with pytest.raises(ValueError):
-        tf.cached_next_logits(params, small_cfg(), [[4]], tf.KVCache())
+        tf.KVCache(params, small_cfg(), [4])
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,10 +333,10 @@ def test_cached_decode_matches_full_forward_property(data):
     n = data.draw(st.one_of(st.just(1), st.integers(2, 6),
                             st.integers(cfg.max_len - 4, cfg.max_len)))
     seqs = [data.draw(st.lists(st.integers(0, 19), min_size=n, max_size=n))]
-    cache = tf.KVCache()
-    got = tf.cached_next_logits(params, cfg, seqs, cache)
-    assert got.shape == (1, 20)
-    assert np.abs(got[0] - tf.decoder_forward(params, cfg, seqs[0]).data[-1]
+    cache = tf.KVCache(params, cfg, seqs[0])
+    assert cache.logits.shape == (1, 20)
+    assert np.abs(cache.logits[0]
+                  - tf.decoder_forward(params, cfg, seqs[0]).data[-1]
                   ).max() < 1e-12
     room = cfg.max_len - n
     for _ in range(data.draw(st.integers(min(room, 1), min(room, 4)))):
@@ -333,9 +345,8 @@ def test_cached_decode_matches_full_forward_property(data):
                                      min_size=width, max_size=width))
         toks = data.draw(st.lists(st.integers(0, 19), min_size=width,
                                   max_size=width))
-        cache.reorder(parents)
         seqs = [seqs[p] + [t] for p, t in zip(parents, toks)]
-        got = tf.cached_next_logits(params, cfg, [[t] for t in toks], cache)
+        got = cache.step(parents, toks)
         want = np.stack([tf.decoder_forward(params, cfg, s).data[-1]
                          for s in seqs])
         assert np.abs(got - want).max() < 1e-12
@@ -348,38 +359,17 @@ def test_cached_decode_matches_full_forward_property(data):
          "two_dims"])
 def test_cached_reorder_rejects_bad_parents(dec_setup, parents, named):
     cfg, params = dec_setup
-    cache = tf.KVCache()
-    tf.cached_next_logits(params, cfg, [[4, 5, 6]], cache)
-    cache.reorder([0, 0])
-    tf.cached_next_logits(params, cfg, [[7], [8]], cache)
-    before = [tuple(x.copy() for x in kv) for kv in cache.grown]
+    cache = tf.KVCache(params, cfg, [4, 5, 6])
+    cache.step([0, 0], [7, 8])
+    before = _grown_copy(cache)
     with pytest.raises(ShapeError) as e:
-        cache.reorder(parents)
+        cache.step(parents, [9] * len(parents))
     assert named in str(e.value)
-    assert all(np.array_equal(x, y) for kv, kv0 in zip(cache.grown, before)
-               for x, y in zip(kv, kv0))
-    got = tf.cached_next_logits(params, cfg, [[9], [10]], cache)
+    assert _same_grown(cache, before)
+    got = cache.step([0, 1], [9, 10])
     want = [tf.decoder_forward(params, cfg, s).data[-1]
             for s in ([4, 5, 6, 7, 9], [4, 5, 6, 8, 10])]
     assert np.abs(got - want).max() < 1e-12
-    with pytest.raises(ShapeError):
-        tf.KVCache().reorder([0])
-
-
-def test_cached_decode_rejects_other_weights_or_config(dec_setup):
-    # the cache holds keys and values computed under the prefix pass's
-    # weights, so a step with another dict or config must not mix the two
-    # models
-    cfg, params = dec_setup
-    cache = tf.KVCache()
-    tf.cached_next_logits(params, cfg, [[4, 5, 6]], cache)
-    with pytest.raises(ValueError):
-        tf.cached_next_logits(dict(params), cfg, [[7]], cache)
-    with pytest.raises(ValueError):
-        tf.cached_next_logits(params, replace(cfg, dropout=0.2), [[7]], cache)
-    got = tf.cached_next_logits(params, cfg, [[7]], cache)
-    want = tf.decoder_forward(params, cfg, [4, 5, 6, 7]).data[-1]
-    assert np.abs(got[0] - want).max() < 1e-12
 
 
 def test_dropout_train_mode_differs_eval_deterministic():
