@@ -322,7 +322,7 @@ def gelu(x: Tensor) -> Tensor:
     return custom_op(x.data * cdf, back)
 
 
-def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean negative log-likelihood over unmasked positions.
 
     logits: (T, V); targets: T token indices; mask: T flags, 1 = scored.
@@ -334,12 +334,9 @@ def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     tn, v = logits.data.shape
     if tgt.shape != (tn,):
         raise ShapeError(f"cross_entropy targets shape {tgt.shape}, want ({tn},)")
-    if mask is None:
-        msk = np.ones(tn, dtype=np.float64)
-    else:
-        msk = np.asarray(mask, dtype=np.float64)
-        if msk.shape != (tn,):
-            raise ShapeError(f"cross_entropy mask shape {msk.shape}, want ({tn},)")
+    msk = np.asarray(mask, dtype=np.float64)
+    if msk.shape != (tn,):
+        raise ShapeError(f"cross_entropy mask shape {msk.shape}, want ({tn},)")
     live = msk != 0.0
     if tgt[live].size and (tgt[live].min() < 0 or tgt[live].max() >= v):
         raise ShapeError(f"cross_entropy target index out of range for vocab {v}")

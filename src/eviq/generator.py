@@ -14,6 +14,10 @@ survivor out.  Survivors come from the (hypotheses, vocab) matrix of
 cumulative log-probabilities: the entries at or above its 2*width-th
 largest value are the only ones the keep and finish rules can reach, and
 one lexsort orders them by score, then by token sequence.
+
+The segment caps keep every sequence within transformer.MAX_LEN positions:
+64 evidence, 64 event and 32 target tokens plus 3 markers make 163, as does
+a beam prefix of at most 131 tokens decoded for at most 32 steps.
 """
 
 from __future__ import annotations
@@ -51,17 +55,12 @@ class AssembledInput:
     target_mask: np.ndarray
 
 
-def _check_segments(config: TransformerConfig, evidence_ids, event_ids,
-                    target_ids) -> None:
+def _check_segments(evidence_ids, event_ids, target_ids) -> None:
     for (name, cap), seq in zip(_SEGMENT_CAPS,
                                 (evidence_ids, event_ids, target_ids)):
         if len(seq) > cap:
             raise ShapeError(
                 f"{name} segment has {len(seq)} tokens, cap {cap}")
-    total = len(evidence_ids) + len(event_ids) + len(target_ids) + 3
-    if total > config.max_len:
-        raise ShapeError(f"assembled sequence {total} tokens exceeds "
-                         f"max_len {config.max_len}")
 
 
 def assemble(vocab: Vocab, config: TransformerConfig, evidence_ids,
@@ -70,11 +69,12 @@ def assemble(vocab: Vocab, config: TransformerConfig, evidence_ids,
 
     target_ids excludes the end marker; the mask covers the positions whose
     next-token predictions are the target tokens followed by the end marker.
+    A segment over its cap raises ShapeError naming it; config is not read.
     """
     evidence_ids = list(evidence_ids)
     event_ids = list(event_ids)
     target_ids = list(target_ids)
-    _check_segments(config, evidence_ids, event_ids, target_ids)
+    _check_segments(evidence_ids, event_ids, target_ids)
     prefix = evidence_ids + [vocab.sep_id] + event_ids \
         + [vocab.dim_id(dimension)] + [vocab.bos_id]
     input_ids = np.array(prefix + target_ids, dtype=np.int64)
@@ -158,12 +158,8 @@ def beam_search(params: dict, config: TransformerConfig, vocab: Vocab,
     if max_steps < 1 or max_steps > MAX_INFERENCE_TOKENS:
         raise ValueError(
             f"max_steps must be in 1..{MAX_INFERENCE_TOKENS}, got {max_steps}")
-    base = assemble(vocab, config, evidence_ids, event_ids, dimension)
-    prefix = base.input_ids
-    if len(prefix) + max_steps > config.max_len:
-        raise ShapeError(f"prefix {len(prefix)} + {max_steps} decode steps "
-                         f"exceeds max_len {config.max_len}")
-    cache = KVCache(params, config, prefix)
+    cache = KVCache(params, config, assemble(vocab, config, evidence_ids,
+                                             event_ids, dimension).input_ids)
     logp = log_softmax(cache.logits)
     tokens = np.zeros((1, 0), dtype=np.int64)   # one row per live hypothesis
     cum = np.zeros(1)                           # their raw log-probabilities

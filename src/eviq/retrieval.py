@@ -12,10 +12,10 @@ container.py); everything else is derived from them, and `load` hands the
 texts to the constructor, the one place an index is built.  The constructor
 derives the postings in one pass over the tokens: one flat (nnz, 2)
 little-endian uint32 array of (doc id, tf) rows, term by term in sorted term
-order, doc ids ascending within a term, and ``postings`` maps a term to its
-view of the array by bisecting the sorted terms on each lookup.  It also
-computes every posting's BM25 weight once, idf * tf * (k1 + 1) / (tf + norm),
-with the float operations of the scalar `bm25_score` in its order.  A search
+order, doc ids ascending within a term; one term -> row dict serves both
+``postings``, which maps a term to its view of the array, and searches.  It
+also computes every posting's BM25 weight once, idf * tf * (k1 + 1) / (tf +
+norm), with the float operations of the scalar `bm25_score` in its order.  A search
 adds its query terms' weights into one score buffer, term by term in query
 order, so each doc's weights are summed from 0.0 in the order `bm25_score`
 sums them and every score equals it to the bit.  Ranking is (score desc, doc
@@ -23,9 +23,12 @@ id asc).  The k-th largest score of a strided sample of the scores bounds the
 k-th largest score from below; only the few docs above that bound are sorted,
 and the docs tied at the k-th score are cut by doc id without being sorted.
 
-`RetrievalCache` persists one ASCII line per record in a `-v3.txt` file:
-the CRC-32 of the rest of the line, then the event's UTF-8 bytes, the
-little-endian uint32 doc ids and the float64 score bits, each hex-encoded.
+An index's fingerprint is the sha256 of the index file's payload, so two
+corpora share one only when their doc texts are equal, text for text.
+`RetrievalCache` names its `-v3.txt` file after it and persists one ASCII
+line per record: the CRC-32 of the rest of the line, then the event's UTF-8
+bytes, the little-endian uint32 doc ids and the float64 score bits, each
+hex-encoded.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import os
 import struct
 import zlib
 from binascii import hexlify, unhexlify
-from bisect import bisect_left
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain, repeat
@@ -125,33 +127,25 @@ class EvidenceSet:
         return self.items[:-1]
 
 
-def _row(terms: list, term: str) -> int:
-    """Position of term in the sorted terms, or -1 when it is not there."""
-    i = bisect_left(terms, term)
-    return i if i < len(terms) and terms[i] == term else -1
-
-
 class _Postings(Mapping):
     """Read-only term -> postings mapping over the flat postings array.
 
-    Iterates the terms in sorted order; a lookup bisects the terms and
-    returns that term's read-only (df, 2) view of the array.
+    Iterates the terms in sorted order; a lookup returns the read-only
+    (df, 2) view of the array at the term's row in the index's rank dict.
     """
 
-    def __init__(self, terms: list, bounds: list, flat: np.ndarray):
-        self._terms, self._bounds, self._flat = terms, bounds, flat
+    def __init__(self, rank: dict, bounds: list, flat: np.ndarray):
+        self._rank, self._bounds, self._flat = rank, bounds, flat
 
     def __getitem__(self, term):
-        i = _row(self._terms, term)
-        if i < 0:
-            raise KeyError(term)
+        i = self._rank[term]
         return self._flat[self._bounds[i]:self._bounds[i + 1]]
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self._rank)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._rank)
 
 
 class InvertedIndex:
@@ -179,8 +173,9 @@ class InvertedIndex:
         self.doc_lengths = [len(t) for t in self.doc_tokens]
         self.avg_doc_length = sum(self.doc_lengths) / n
         tokens = list(chain.from_iterable(self.doc_tokens))
-        self._terms = terms = sorted(set(tokens))
-        rank = dict(zip(terms, range(len(terms))))
+        terms = sorted(set(tokens))
+        # term -> its row in sorted term order, iterated in that order
+        self._rank = rank = dict(zip(terms, range(len(terms))))
         # one key per token, term rank major and doc id minor: the sorted
         # distinct keys are the postings in (term, doc id) order and their
         # counts are the tfs
@@ -195,7 +190,7 @@ class InvertedIndex:
         self._postings = flat
         # term i of the sorted terms holds postings bounds[i]:bounds[i + 1]
         self._bounds = [0] + np.cumsum(df).tolist()
-        self.postings = _Postings(terms, self._bounds, flat)
+        self.postings = _Postings(rank, self._bounds, flat)
         # K1 * (1 - B + B * dl / avgdl), the same float ops bm25_score makes;
         # a corpus with no tokens has no postings, so its norm is never read
         dl = np.asarray(self.doc_lengths, dtype=np.float64)
@@ -221,11 +216,13 @@ class InvertedIndex:
     # text, then the texts back to back.  Everything else is derived from the
     # texts, so load hands them to the constructor.
 
-    def save(self, path) -> None:
+    def _payload(self) -> bytes:
         sizes = np.array([len(b) for b in self._doc_bytes], dtype=_U32)
-        write_container(path, _MAGIC, _VERSION,
-                        b"".join([struct.pack("<I", self.n_docs), sizes.tobytes(),
-                                  *self._doc_bytes]))
+        return b"".join([struct.pack("<I", self.n_docs), sizes.tobytes(),
+                         *self._doc_bytes])
+
+    def save(self, path) -> None:
+        write_container(path, _MAGIC, _VERSION, self._payload())
 
     @classmethod
     def load(cls, path) -> "InvertedIndex":
@@ -258,8 +255,9 @@ class InvertedIndex:
 
     def fingerprint(self) -> str:
         """Stable digest of the indexed corpus, for cache keys: the sha256 of
-        the doc texts, each followed by a newline."""
-        return hashlib.sha256(b"\n".join(self._doc_bytes) + b"\n").hexdigest()
+        the payload `save` writes, whose doc sizes tell every split of the
+        texts apart."""
+        return hashlib.sha256(self._payload()).hexdigest()
 
     # --- scoring -----------------------------------------------------------
 
@@ -307,8 +305,8 @@ class InvertedIndex:
         """
         k = _check_k(k)
         # each query term's row in the sorted terms, repeats included
-        rows = [i for i in (_row(self._terms, t) for t in self.event_query(event))
-                if i >= 0]
+        rows = [i for i in map(self._rank.get, self.event_query(event))
+                if i is not None]
         if not rows or not k:
             return self.evidence_set((), ())
         scores = np.zeros(self.n_docs)

@@ -19,6 +19,10 @@ hypotheses of a beam and packs one new token apiece; every layer projects
 the new rows as any forward does and attends each hypothesis's row to the
 prefix and to that hypothesis's own decoded rows, with no mask; its keys
 and values join those rows.
+
+The config holds only what callers set: depth, heads, widths and whether the
+stack is causal.  Every stack has MAX_LEN learned positions and drops units
+at rate DROPOUT in training.
 """
 
 from __future__ import annotations
@@ -45,18 +49,20 @@ from .autodiff import (
 )
 
 
+MAX_LEN = 192    # learned positions: the longest sequence any stack reads
+DROPOUT = 0.1    # rate after the embeddings and each sublayer in training
+
+
 @dataclass(frozen=True)
 class TransformerConfig:
     n_layers: int = 2
     n_heads: int = 4
     d_model: int = 128
     d_ff: int = 512
-    max_len: int = 192
-    dropout: float = 0.1
     causal: bool = False
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "d_model", "d_ff", "max_len"):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff"):
             n = getattr(self, name)
             if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
                     or n < 1):
@@ -65,8 +71,6 @@ class TransformerConfig:
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout rate {self.dropout} outside [0, 1)")
 
 
 def init_params(config: TransformerConfig, vocab_size: int,
@@ -81,7 +85,7 @@ def init_params(config: TransformerConfig, vocab_size: int,
     def u(*shape):
         return Tensor(rng.uniform(-0.1, 0.1, size=shape))
 
-    p = {"tok_emb": u(vocab_size, d), "pos_emb": u(config.max_len, d)}
+    p = {"tok_emb": u(vocab_size, d), "pos_emb": u(MAX_LEN, d)}
     for i in range(config.n_layers):
         pre = f"layers.{i}."
         for name in ("wq", "wk", "wv", "wo"):
@@ -144,7 +148,7 @@ class KVCache:
         0..B-1 and tokens one id per parent; anything else raises ShapeError
         naming the first bad parent or the token count.  A layer copies the
         parents' rows only to join the new ones, so a step refused before
-        the first layer (past max_len, say) leaves the cache as it was.
+        the first layer (past MAX_LEN, say) leaves the cache as it was.
         """
         b = self.grown[0][0].shape[1]
         idx = np.asarray(parents)
@@ -225,14 +229,12 @@ def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
                                 config.causal)
     else:
         a, h = cache.attend(i, q, k, v, h)
-    a = affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"])
-    if p > 0.0:
-        a = dropout(a, p, rng)
+    a = dropout(affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"]),
+                p, rng)
     g = layer_norm(add(a, h), params[pre + "ln1.g"], params[pre + "ln1.b"])
     f = gelu(affine(g, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
-    f = affine(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
-    if p > 0.0:
-        f = dropout(f, p, rng)
+    f = dropout(affine(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"]),
+                p, rng)
     return layer_norm(add(f, g), params[pre + "ln2.g"], params[pre + "ln2.b"])
 
 
@@ -252,9 +254,9 @@ def _forward(params: dict, config: TransformerConfig, seqs,
         raise ShapeError("no sequences to pack")
     start = 0 if cache is None else cache.start()
     for n in (min(lengths), max(lengths)):
-        if not 1 <= start + n <= config.max_len:
+        if not 1 <= start + n <= MAX_LEN:
             raise ShapeError(f"sequence length {start + n} outside "
-                             f"1..{config.max_len}")
+                             f"1..{MAX_LEN}")
     ids = np.concatenate(seqs, dtype=np.int64)
     ends = np.cumsum(lengths)
     positions = (np.arange(start, start + ends[-1])
@@ -265,9 +267,8 @@ def _forward(params: dict, config: TransformerConfig, seqs,
             gather_rows(params["pos_emb"], positions))
     if z is not None:
         h = add(h, z)
-    p = config.dropout if train else 0.0
-    if p > 0.0:
-        h = dropout(h, p, rng)
+    p = DROPOUT if train else 0.0
+    h = dropout(h, p, rng)
     for i in range(config.n_layers):
         h = _block(params, config, i, h, lengths, z, p, rng, cache)
     return h

@@ -27,7 +27,7 @@ def setup():
     evidence = idx.search_topk("cat mat bird dog", k=4)
     vocab = Vocab.build([d.split() for d in DOCS])
     cfg = tf.TransformerConfig(n_layers=2, n_heads=2, d_model=12, d_ff=24,
-                               max_len=16, dropout=0.0, causal=False)
+                               causal=False)
     params = tf.init_params(cfg, len(vocab.id_to_token),
                             np.random.default_rng(0))
     ctx = ev.encode_evidence(params, cfg, evidence, vocab)
@@ -126,7 +126,7 @@ def test_only_placeholder_gets_selected():
     assert len(evidence.items) == 1
     vocab = Vocab.build([d.split() for d in DOCS])
     cfg = tf.TransformerConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
-                               max_len=8, dropout=0.0, causal=False)
+                               causal=False)
     params = tf.init_params(cfg, len(vocab.id_to_token),
                             np.random.default_rng(4))
     ctx = ev.encode_evidence(params, cfg, evidence, vocab)
@@ -295,7 +295,7 @@ def test_table_matches_per_set_encoding_on_toy_dev_sets(tmp_path, seed, forwards
     vocab = Vocab.build([list(t) for t in idx.doc_tokens]
                         + [g.members[0].event_tokens for g in dev])
     cfg = tf.TransformerConfig(n_layers=2, n_heads=4, d_model=32, d_ff=64,
-                               max_len=72, dropout=0.0, causal=False)
+                               causal=False)
     rng = np.random.default_rng([seed, 5])
     params = tf.init_params(cfg, len(vocab.id_to_token), rng)
     codes = np.vstack([vq.init_codebook(16, cfg.d_model, rng).data,
@@ -321,7 +321,7 @@ def _toy_dev_sets(tmp_path, seed):
     vocab = Vocab.build([list(t) for t in idx.doc_tokens]
                         + [g.members[0].event_tokens for g in dev])
     cfg = tf.TransformerConfig(n_layers=2, n_heads=4, d_model=32, d_ff=64,
-                               max_len=72, dropout=0.0, causal=False)
+                               causal=False)
     params = tf.init_params(cfg, len(vocab.id_to_token), np.random.default_rng([seed, 5]))
     sets = [idx.search_topk(g.members[0].event_raw, k=45) for g in dev]
     return sets, vocab, cfg, params

@@ -7,7 +7,8 @@ import pytest
 from eviq.autodiff import ShapeError, log_softmax, no_tape, softmax_lastdim, tape
 from eviq import generator as gen
 from eviq import transformer as tf
-from eviq.textdata import Vocab
+from eviq.textdata import (MAX_EVENT_TOKENS, MAX_EVIDENCE_TOKENS,
+                           MAX_INFERENCE_TOKENS, Vocab)
 
 from fdcheck import check_grads
 
@@ -16,7 +17,7 @@ from fdcheck import check_grads
 def setup():
     vocab = Vocab.build([["alpha", "beta", "gamma", "delta", "echo"]])
     cfg = tf.TransformerConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32,
-                               max_len=48, dropout=0.0, causal=True)
+                               causal=True)
     params = tf.init_params(cfg, len(vocab.id_to_token),
                             np.random.default_rng(0))
     return vocab, cfg, params
@@ -53,9 +54,30 @@ def test_assembly_overflow_names_segment(setup):
     with pytest.raises(ShapeError) as e:
         gen.assemble(vocab, cfg, [4], [4], "xIntent", [vocab.unk_id] * 33)
     assert "target" in str(e.value)
-    with pytest.raises(ShapeError) as e:
-        gen.assemble(vocab, cfg, [4] * 30, [4] * 20, "xIntent", [])
-    assert "max_len" in str(e.value)
+
+
+def test_segment_caps_fit_the_decoder_positions():
+    # so no layout that passes the segment caps can outgrow the positions
+    assert (MAX_EVIDENCE_TOKENS + MAX_EVENT_TOKENS + MAX_INFERENCE_TOKENS + 3
+            <= tf.MAX_LEN)
+
+
+def test_every_segment_at_its_cap_scores_and_decodes():
+    # the longest training layout is scored, and a beam over the longest
+    # prefix that never emits its end marker runs every step allowed
+    vocab, cfg, params = _tiny_vocab_model(seed=6)
+    a = vocab.encode(["a"])[0]
+    ev, x = [a] * MAX_EVIDENCE_TOKENS, [a] * MAX_EVENT_TOKENS
+    nll = gen.generation_nll(params, cfg, vocab, ev, x, "xIntent",
+                             [a] * MAX_INFERENCE_TOKENS)
+    assert np.isfinite(nll.item())
+    params["tok_emb"].data[vocab.eos_id] = -50.0
+    args = (params, cfg, vocab, ev, x, "xIntent")
+    res = gen.beam_search(*args, width=2, max_steps=MAX_INFERENCE_TOKENS)
+    assert res.truncated
+    assert [len(h.tokens) for h in res.hypotheses] == [MAX_INFERENCE_TOKENS] * 2
+    _assert_same_beam(res, _reference_beam(*args, width=2,
+                                           max_steps=MAX_INFERENCE_TOKENS))
 
 
 def test_forward_distribution_sums_to_one(setup):
@@ -152,7 +174,7 @@ def _tiny_vocab_model(seed=3):
     # reserved block + a and b: beam explores a 3-way choice at each step
     vocab = Vocab.build([["a", "b"]])
     cfg = tf.TransformerConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
-                               max_len=32, dropout=0.0, causal=True)
+                               causal=True)
     params = tf.init_params(cfg, len(vocab.id_to_token),
                             np.random.default_rng(seed))
     return vocab, cfg, params

@@ -234,6 +234,21 @@ def test_retrieval_cache_hits_memo_and_disk(tmp_path, idx3):
     assert [i.score for i in c.items] == [i.score for i in a.items]
 
 
+def test_corpora_that_join_alike_get_their_own_fingerprint_and_cache(tmp_path):
+    # one text split at two different newlines: the docs joined by newlines
+    # read the same, but "mat" is in doc 0 of one corpus and doc 1 of the other
+    corpora = rt.InvertedIndex(["cat sat\nmat", "dog"]), rt.InvertedIndex(["cat sat", "mat\ndog"])
+    assert corpora[0].fingerprint() != corpora[1].fingerprint()
+    paths = set()
+    for idx, doc in zip(corpora, (0, 1)):
+        cache = rt.RetrievalCache(idx, k=2, cache_dir=tmp_path)
+        paths.add(cache.path)
+        hit = cache.get("mat")
+        assert hit.doc_ids.tolist() == [doc]
+        assert _exact(hit) == _exact(idx.search_topk("mat", 2))
+    assert len(paths) == 2
+
+
 def test_reloaded_cache_returns_the_sets_it_wrote(tmp_path):
     make_toy_dataset(4, 24, 4, tmp_path / "toy")
     idx = rt.InvertedIndex.build(tmp_path / "toy" / "corpus.txt")

@@ -129,7 +129,7 @@ def _tiny_recon_setup(seed=6, width=4, vocab=9):
 
 def _recon_nll(vec, near, w, b):
     latent = vq.straight_through(vec, near)
-    return cross_entropy(affine(latent, w, b), [3])
+    return cross_entropy(affine(latent, w, b), [3], np.ones(1))
 
 
 def test_quantization_loss_zero_terms_when_vector_equals_row():
@@ -179,7 +179,7 @@ def test_full_loss_encoder_gradient_decomposes():
     # gradient of recon w.r.t. the latent input, taken at the assigned row
     latent_leaf = Tensor(near.row.copy())
     with tape() as t:
-        nll = cross_entropy(affine(latent_leaf, w, b), [3])
+        nll = cross_entropy(affine(latent_leaf, w, b), [3], np.ones(1))
     t.backward(nll)
     recon_part = latent_leaf.grad.copy()
     w.grad = None
@@ -247,7 +247,7 @@ CLS = 3
 
 def _classifier_setup():
     cfg = tf.TransformerConfig(n_layers=2, n_heads=2, d_model=12, d_ff=24,
-                               max_len=16, dropout=0.0, causal=False)
+                               causal=False)
     rng = np.random.default_rng(12)
     enc = tf.init_params(cfg, 18, rng)
     head = Tensor(rng.normal(0.0, 0.3, size=(12, 6)))
