@@ -450,37 +450,51 @@ def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                        lengths=None, causal: bool = False) -> Tensor:
+                        lengths=None, causal: bool = False,
+                        q_lengths=None) -> Tensor:
     """Scaled dot-product attention over n_heads splits of the width.
 
     Rows are packed segments of the given lengths (default: one segment of
     all rows); attention stays inside each segment and, when causal, never
-    looks ahead.  The mask is a constant, so no gradient flows through it.
+    looks ahead.  q_lengths, when given, counts q's rows per segment
+    instead, for a bidirectional attention in which only some rows of each
+    segment query every key of it; the output has q's rows.  The mask is a
+    constant, so no gradient flows through it.
     """
-    tn, d = q.data.shape
-    if k.data.shape != (tn, d) or v.data.shape != (tn, d):
-        raise ShapeError(f"attention q/k/v shapes differ: {q.data.shape} "
-                         f"{k.data.shape} {v.data.shape}")
+    tn, d = k.data.shape
+    if v.data.shape != (tn, d):
+        raise ShapeError(f"attention k/v shapes differ: {k.data.shape} "
+                         f"{v.data.shape}")
     if d % n_heads != 0:
         raise ShapeError(f"width {d} not divisible by {n_heads} heads")
     lengths = (tn,) if lengths is None else tuple(int(n) for n in lengths)
     if not lengths or min(lengths) < 1 or sum(lengths) != tn:
         raise ShapeError(f"segment lengths {lengths} do not split {tn} rows")
+    q_lengths = (lengths if q_lengths is None
+                 else tuple(int(n) for n in q_lengths))
+    if (len(q_lengths) != len(lengths) or min(q_lengths) < 1
+            or q.data.shape != (sum(q_lengths), d)):
+        raise ShapeError(f"query shape {q.data.shape} in segments "
+                         f"{q_lengths} does not fit keys of shape {k.data.shape} "
+                         f"in segments {lengths}")
+    if causal and q_lengths != lengths:
+        raise ShapeError("causal attention needs a query for every row")
     shape = (len(lengths), n_heads, max(lengths), d // n_heads)
     rows = _padded_rows(lengths)
-    qh, kh, vh = (_to_heads(x.data, shape, rows) for x in (q, k, v))
+    q_rows = rows if q_lengths is lengths else _padded_rows(q_lengths)
+    qh = _to_heads(q.data, shape[:2] + (max(q_lengths),) + shape[3:], q_rows)
+    kh, vh = (_to_heads(x.data, shape, rows) for x in (k, v))
     outh, w = _attend(qh, kh, vh, _attention_mask(lengths, causal))
     s = 1.0 / math.sqrt(d // n_heads)
 
     def back(g):
-        gh = _to_heads(g, qh.shape, rows)
+        gh = _to_heads(g, qh.shape, q_rows)
         dw = gh @ vh.transpose(0, 1, 3, 2)
         dvh = w.transpose(0, 1, 3, 2) @ gh
         da = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
         dqh = (da @ kh) * s
         dkh = (da.transpose(0, 1, 3, 2) @ qh) * s
-        _acc_new(q, _from_heads(dqh, rows))
+        _acc_new(q, _from_heads(dqh, q_rows))
         _acc_new(k, _from_heads(dkh, rows))
         _acc_new(v, _from_heads(dvh, rows))
-    return custom_op(_from_heads(outh, rows), back)
-
+    return custom_op(_from_heads(outh, q_rows), back)

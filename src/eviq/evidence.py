@@ -28,7 +28,10 @@ second on the worker thread of eviq.cores, so that stage-3 training, whose
 every Adam step empties the table, uses both cores.  The packed forward
 keeps each sequence's rows apart except in matrix products, so a split
 moves a vector only by rounding in those products: within 1e-12 of one
-per-set pass, as any table row already is.  Context vectors feed only
+per-set pass, as any table row already is.  The same bound covers the
+pooled forward itself, which carries only the last rows of each paragraph
+past the last attention: its vectors are within 1e-12 of a forward that
+carries every row.  Context vectors feed only
 nearest_row, so a split can change a pick only between two paragraphs
 within that distance of a tie.
 """

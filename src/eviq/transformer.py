@@ -20,6 +20,18 @@ the new rows as any forward does and attends each hypothesis's row to the
 prefix and to that hypothesis's own decoded rows, with no mask; its keys
 and values join those rows.
 
+A pooled encoder forward reads one row per sequence, so when it is not
+training only the last two rows of each sequence (one at length 1) go past
+the last layer's attention: every row still gives that layer's keys and
+values, and the query projection, output projection, layer norms and
+feed-forward after it run on those rows alone.  Two rows, not one, keep
+numpy's query products on the matrix-matrix kernel the full forward uses,
+so the pooled rows agree with the full forward's to within 1e-12 (in most
+shapes exactly).  The path is built from the same taped ops, so gradients
+through it are exact.  A training forward keeps every row through every
+layer: dropout draws one mask element per row, so dropping rows would
+change every later draw and every trained weight.
+
 The config holds only what callers set: depth, heads, widths and whether the
 stack is causal.  Every stack has MAX_LEN learned positions and drops units
 at rate DROPOUT in training.
@@ -102,10 +114,11 @@ def init_params(config: TransformerConfig, vocab_size: int,
     return p
 
 
-def _qkv(params: dict, i: int, h: Tensor, z: Tensor | None):
-    """Layer i's query, key and value rows, each shifted by z when given."""
+def _qkv(params: dict, i: int, hq: Tensor, h: Tensor, z: Tensor | None):
+    """Layer i's query rows of hq and key and value rows of h, each shifted
+    by z when given."""
     pre = f"layers.{i}.attn."
-    q = affine(h, params[pre + "wq"], params[pre + "bq"])
+    q = affine(hq, params[pre + "wq"], params[pre + "bq"])
     k = affine(h, params[pre + "wk"], params[pre + "bk"])
     v = affine(h, params[pre + "wv"], params[pre + "bv"])
     if z is not None:
@@ -216,22 +229,29 @@ class KVCache:
 
 def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
            lengths: tuple, z: Tensor | None, p: float, rng,
-           cache: KVCache | None = None) -> Tensor:
+           cache: KVCache | None = None, tail: tuple | None = None) -> Tensor:
     """Layer i over packed rows h: attention, residual, layer norm,
     feed-forward, residual, layer norm; dropout rate p after each sublayer.
     With a cache, attention reads and extends it instead of seeing only h,
-    and the rows past attention are the ones the cache hands back.
+    and the rows past attention are the ones the cache hands back.  With
+    tail, a row count per sequence, only the last tail[b] rows of sequence b
+    query attention and go past it; every row gives keys and values.
     """
     pre = f"layers.{i}."
-    q, k, v = _qkv(params, i, h, z)
+    hq = h
+    if tail is not None:
+        ends = np.cumsum(lengths)
+        hq = gather_rows(h, [r for e, t in zip(ends, tail)
+                             for r in range(e - t, e)])
+    q, k, v = _qkv(params, i, hq, h, z)
     if cache is None:
         a = multihead_attention(q, k, v, config.n_heads, lengths,
-                                config.causal)
+                                config.causal, tail)
     else:
-        a, h = cache.attend(i, q, k, v, h)
+        a, hq = cache.attend(i, q, k, v, hq)
     a = dropout(affine(a, params[pre + "attn.wo"], params[pre + "attn.bo"]),
                 p, rng)
-    g = layer_norm(add(a, h), params[pre + "ln1.g"], params[pre + "ln1.b"])
+    g = layer_norm(add(a, hq), params[pre + "ln1.g"], params[pre + "ln1.b"])
     f = gelu(affine(g, params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
     f = dropout(affine(f, params[pre + "ffn.w2"], params[pre + "ffn.b2"]),
                 p, rng)
@@ -240,15 +260,20 @@ def _block(params: dict, config: TransformerConfig, i: int, h: Tensor,
 
 def _forward(params: dict, config: TransformerConfig, seqs,
              z: Tensor | None = None, train: bool = False, rng=None,
-             cache: KVCache | None = None) -> Tensor:
+             cache: KVCache | None = None, pooled: bool = False) -> Tensor:
     """Packed rows of the id sequences after the last layer.
 
     Positions restart at zero inside each sequence, or continue after the
     rows a cache holds.  z, when given, is one (1, d_model) latent row for
     all rows; it is added to the input embeddings and, in every layer, to
     the projected queries, keys and values.  With a cache (untaped, no z)
-    only each sequence's last row comes back.
+    or pooled, only each sequence's last row comes back; a pooled forward
+    that is not training carries only the last two rows of each sequence
+    past the last layer's attention (see the module docstring).  A training
+    forward without an rng for dropout is refused with ValueError.
     """
+    if train and rng is None:
+        raise ValueError("a training forward needs an rng for dropout")
     lengths = tuple(map(len, seqs))
     if not lengths:
         raise ShapeError("no sequences to pack")
@@ -269,8 +294,13 @@ def _forward(params: dict, config: TransformerConfig, seqs,
         h = add(h, z)
     p = DROPOUT if train else 0.0
     h = dropout(h, p, rng)
+    tail = (tuple(min(2, n) for n in lengths) if pooled and not train
+            else None)
     for i in range(config.n_layers):
-        h = _block(params, config, i, h, lengths, z, p, rng, cache)
+        h = _block(params, config, i, h, lengths, z, p, rng, cache,
+                   tail if i == config.n_layers - 1 else None)
+    if pooled:
+        h = gather_rows(h, np.cumsum(tail or lengths) - 1)
     return h
 
 
@@ -299,8 +329,7 @@ def batch_encoder_forward(params: dict, config: TransformerConfig, seqs,
         if cls_id is not None and len(s) and s[-1] != cls_id:
             raise ShapeError(
                 f"last token id {s[-1]} is not the summary token {cls_id}")
-    h = _forward(params, config, seqs, train=train, rng=rng)
-    return gather_rows(h, np.cumsum([len(s) for s in seqs]) - 1)
+    return _forward(params, config, seqs, train=train, rng=rng, pooled=True)
 
 
 def decoder_forward(params: dict, config: TransformerConfig, token_ids,

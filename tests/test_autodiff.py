@@ -163,6 +163,16 @@ def test_causal_mask_attention_weights_exactly_zero():
     assert np.all(np.abs(ones - 1.0) <= 1e-12)
 
 
+def test_attention_rejects_queries_that_do_not_fit_the_segments():
+    k = ad.Tensor(np.zeros((5, 4)))
+    for q_rows, q_lengths, causal in ((3, (1, 1), False), (2, (2, 0), False),
+                                      (2, (2,), False), (3, (1, 2), True),
+                                      (2, (1, 1), True)):
+        with pytest.raises(ad.ShapeError):
+            ad.multihead_attention(ad.Tensor(np.zeros((q_rows, 4))), k, k, 2,
+                                   (2, 3), causal, q_lengths)
+
+
 def test_add_broadcasts_one_row_and_rejects_other_shapes():
     a = _rng(11).normal(size=(4, 3))
     v = _rng(12).normal(size=(1, 3))
@@ -234,7 +244,7 @@ def _scalarize(out, const):
     "add", "add_n", "scale", "add_row_broadcast", "matmul", "matmul_nt",
     "affine", "gather_rows", "softmax", "layer_norm", "gelu", "squared_distance",
     "cross_entropy", "attention", "attention_causal", "attention_segments",
-    "attention_segments_causal",
+    "attention_segments_causal", "attention_queries",
 ])
 def test_primitive_gradients_match_finite_differences(op):
     rng = _rng(zlib.crc32(op.encode()))
@@ -327,16 +337,19 @@ def test_primitive_gradients_match_finite_differences(op):
             return t, loss
     else:  # attention variants
         tn, d, heads = 5, 8, 2
-        params = {"q": ad.Tensor(rng.normal(size=(tn, d))),
+        # queries: one row of the first segment and two of the second
+        q_lengths = (1, 2) if op == "attention_queries" else None
+        tq = 3 if q_lengths else tn
+        params = {"q": ad.Tensor(rng.normal(size=(tq, d))),
                   "k": ad.Tensor(rng.normal(size=(tn, d))),
                   "v": ad.Tensor(rng.normal(size=(tn, d)))}
-        tgt = rng.normal(size=(tn, d))
+        tgt = rng.normal(size=(tq, d))
         causal = op.endswith("causal")
-        lengths = (2, 3) if "segments" in op else None
+        lengths = (2, 3) if "segments" in op or q_lengths else None
         def build():
             with ad.tape() as t:
                 out = ad.multihead_attention(params["q"], params["k"], params["v"],
-                                             heads, lengths, causal)
+                                             heads, lengths, causal, q_lengths)
                 loss = _scalarize(out, tgt)
             return t, loss
     check_grads(build, params, rng)

@@ -35,6 +35,45 @@ def test_one_cpu_starts_no_worker(monkeypatch):
     assert cores._POOL is None and threading.active_count() == before
 
 
+def _on_cpu(cpu, fn):
+    """fn() on a fresh thread pinned to one CPU; the caller's mask stays."""
+    out = []
+
+    def run():
+        os.sched_setaffinity(0, {cpu})
+        out.append(fn())
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=30)
+    return out[0]
+
+
+def test_cpu_reads_the_cpu_the_thread_runs_on():
+    for cpu in sorted(os.sched_getaffinity(0)):
+        assert _on_cpu(cpu, cores._cpu) == cpu
+
+
+def test_worker_half_runs_off_the_callers_cpu(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        pytest.skip("one CPU: both halves run inline")
+    submitted = []
+
+    def cpu():
+        submitted.append(real())
+        return submitted[-1]
+
+    real = cores._cpu
+    monkeypatch.setattr(cores, "_cpu", cpu)
+    for _ in range(20):
+        _, (worker_mask, worker_cpu) = cores.both(
+            lambda x: (os.sched_getaffinity(0), real()), 1, 2)
+        assert submitted[-1] not in worker_mask
+        assert worker_cpu in worker_mask and worker_mask <= mask
+    assert os.sched_getaffinity(0) == mask
+
+
 def _fail(kind):
     if kind == "slow":
         time.sleep(0.2)

@@ -113,6 +113,27 @@ def test_nll_gradients_flow(setup):
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("call", ["encoder_forward", "batch_encoder_forward",
+                                  "decoder_forward", "generation_nll"])
+def test_training_forward_without_an_rng_is_refused_by_name(setup, call):
+    vocab, cfg, params = setup
+    enc_cfg = tf.TransformerConfig(n_layers=2, n_heads=2, d_model=16, d_ff=32)
+    run = {
+        "encoder_forward": lambda: tf.encoder_forward(params, enc_cfg, [4, 5],
+                                                      train=True),
+        "batch_encoder_forward": lambda: tf.batch_encoder_forward(
+            params, enc_cfg, [[4, 5], [6]], train=True),
+        "decoder_forward": lambda: tf.decoder_forward(params, cfg, [1, 2, 3],
+                                                      train=True),
+        "generation_nll": lambda: gen.generation_nll(
+            params, cfg, vocab, [vocab.empty_id], _ids(vocab, "alpha"),
+            "xIntent", _ids(vocab, "beta"), train=True),
+    }[call]
+    with pytest.raises(ValueError, match="rng") as e:
+        run()
+    assert type(e.value) is ValueError
+
+
 def test_sequence_logprob_equals_stepwise_product(setup):
     vocab, cfg, params = setup
     ev, x = _ids(vocab, "alpha"), _ids(vocab, "beta")

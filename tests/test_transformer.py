@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from eviq.autodiff import (
-    ShapeError, Tensor, cross_entropy, matmul_nt, softmax_lastdim,
-    squared_distance, tape,
+    ShapeError, Tensor, cross_entropy, gather_rows, matmul_nt,
+    softmax_lastdim, squared_distance, tape,
 )
 from eviq.optim import AdamState, adam_step, clear_grads
 import eviq
@@ -105,6 +105,44 @@ def test_encoder_gradients_match_finite_differences(enc_setup):
     worst = check_grads(build, params, np.random.default_rng(5),
                         coords_per_tensor=4)
     assert worst < 1e-4
+
+
+_LENGTH = st.one_of(st.sampled_from([1, 2, 16, 25, 65]), st.integers(1, 65))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pooled_forward_matches_the_full_forward_rows(data):
+    # a pooled forward that is not training carries only the last rows past
+    # the last attention; its rows stay within 1e-12 of the full forward's
+    cfg = small_cfg(n_layers=data.draw(st.integers(1, 2)),
+                    n_heads=data.draw(st.sampled_from([1, 2, 4])))
+    params = tf.init_params(cfg, 20, np.random.default_rng(3))
+    lengths = data.draw(st.lists(_LENGTH, min_size=1, max_size=8))
+    seqs = [data.draw(st.lists(st.integers(0, 19), min_size=n, max_size=n))
+            for n in lengths]
+    pooled = tf.batch_encoder_forward(params, cfg, seqs).data
+    full = gather_rows(tf._forward(params, cfg, seqs),
+                       np.cumsum(lengths) - 1).data
+    assert pooled.shape == (len(seqs), cfg.d_model)
+    assert np.abs(pooled - full).max() < 1e-12
+
+
+def test_pooled_forward_gradients_match_finite_differences(enc_setup):
+    # train=False under a tape takes the pooled path: lengths 1 and 2 give
+    # one and two query rows, so the queries are padded in attention
+    cfg, params = enc_setup
+    seqs = [[4, 7, 2, 11, CLS], [CLS], [9, CLS], [5, 6, 8, 12, 13, 14, CLS]]
+    target = np.linspace(-1, 1, 4 * cfg.d_model).reshape(4, -1)
+
+    def build():
+        with tape() as t:
+            h = tf.batch_encoder_forward(params, cfg, seqs, cls_id=CLS)
+            loss = squared_distance(h, target)
+        return t, loss
+
+    assert check_grads(build, params, np.random.default_rng(6),
+                       coords_per_tensor=3) < 1e-4
 
 
 def test_decoder_future_attention_weights_exactly_zero(dec_setup):
